@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from .errors import ConvergenceError, MkvError, NumericalBlowupError
-from .problem import AffineControlSchedule, ControlProblem
+from .problem import AffineControlSchedule
 from .scenarios import REGISTRY, get_scenario
 from .solver import (NoiseSchedule, SolverConfig, estimate_cost,
                      simulate_controlled, solve)
@@ -49,7 +49,7 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _moment_header(prefix, d):
+def _moment_header(d):
     cols = ["t"] + [f"m_{i + 1}" for i in range(d)]
     cols += [f"C_{i + 1}{j + 1}" for i in range(d) for j in range(d)]
     return cols
@@ -59,7 +59,7 @@ def write_moments_csv(path, times, means, covs):
     d = means.shape[1]
     rows = [[times[n], *means[n], *covs[n].reshape(-1)]
             for n in range(len(times))]
-    _write_csv(path, _moment_header("m", d), rows)
+    _write_csv(path, _moment_header(d), rows)
 
 
 def write_control_csv(path, sched: AffineControlSchedule):

@@ -7,6 +7,11 @@ covariances, the stochastic EnKF update applied at the final time, and
 the extraction of the affine gain pair (A_t, c_t) from forward and
 reverse moments.
 
+The drift terms take a (d, M) particle block (or one (d,) state), so a
+sweep step calls each once.  ``_reverse_drift`` takes the
+cost-of-control correction as an input, so the split-step and
+discounted sweeps reuse it.
+
 Sign convention for the reverse drift: the reverse sweep applies
 
     X_{n-1} = X_n + dt * reverse_drift(X_n) + sqrt(eps * dt) * sigma * noise,
@@ -23,7 +28,8 @@ import numpy as np
 
 from .errors import NumericalBlowupError
 from .problem import ControlProblem
-from .stats import Ensemble, EmpiricalMoments, map_moments
+from .stats import (Ensemble, EmpiricalMoments, block_or_state, map_columns,
+                    map_moments)
 
 
 @dataclass
@@ -34,27 +40,37 @@ class GainPair:
     c: np.ndarray
 
 
+def _grad_log_group(sig, div, mom: EmpiricalMoments, x):
+    """div Sigma - Sigma C^-1 (x - m) on a (d, M) block, given the
+    stacked Sigma (d, d, M) and div Sigma (d, M) at the block."""
+    return div - np.einsum("ijm,jm->im", sig, mom.solve(x - mom.mean[:, None]))
+
+
+@block_or_state
 def g_bar_kf(p: ControlProblem, x, Cxh, mh):
     """Running-cost drift correction (1/2) C^{xh} S^-1 (h(x) + m^h)."""
-    h = np.asarray(p.running_map(x), dtype=float).reshape(-1)
+    h = map_columns(p.running_map, x)
     Cxh = np.atleast_2d(np.asarray(Cxh, dtype=float))
-    return 0.5 * Cxh @ p.solve_s(h + mh)
+    return 0.5 * Cxh @ p.solve_s(h + np.asarray(mh, dtype=float)[:, None])
 
 
+def _forward_drift(p: ControlProblem, x, grad_log, Cxh, mh, eps_noise):
+    """b(x) - (1-eps)/2 * grad_log - g_bar_kf(x) on a (d, M) block."""
+    return (map_columns(p.drift, x)
+            - 0.5 * (1.0 - eps_noise) * grad_log
+            - g_bar_kf(p, x, Cxh, mh))
+
+
+@block_or_state
 def forward_drift(p: ControlProblem, x, bar: EmpiricalMoments, Cxh, mh,
                   eps_noise: float):
     """Drift of the forward mean-field SDE under the Gaussian closure.
 
     b(x) - (1-eps)/2 * (div Sigma - Sigma C^-1 (x - m)) - g_bar_kf(x).
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    grad_log_group = p.div_sigma(x) - p.sigma_sq(x) @ bar.solve(x - bar.mean)
-    out = (np.asarray(p.drift(x), dtype=float)
-           - 0.5 * (1.0 - eps_noise) * grad_log_group
-           - g_bar_kf(p, x, Cxh, mh))
-    if not np.all(np.isfinite(out)):
-        raise NumericalBlowupError("non-finite forward drift")
-    return out
+    group = _grad_log_group(map_columns(p.sigma_sq, x),
+                            map_columns(p.div_sigma, x), bar, x)
+    return _forward_drift(p, x, group, Cxh, mh, eps_noise)
 
 
 def terminal_update(p: ControlProblem, e: Ensemble, delta: float, rng
@@ -69,9 +85,7 @@ def terminal_update(p: ControlProblem, e: Ensemble, delta: float, rng
     """
     x = e.particles
     m_xi, C_xixi = map_moments(e, p.terminal_map)
-    xi_vals = np.column_stack(
-        [np.asarray(p.terminal_map(x[:, i]), dtype=float).reshape(-1)
-         for i in range(e.size)])
+    xi_vals = map_columns(p.terminal_map, x)
     dx = x - x.mean(axis=1)[:, None]
     dxi = xi_vals - m_xi[:, None]
     C_xxi = (dx @ dxi.T) / (e.size - 1)
@@ -86,7 +100,6 @@ def terminal_update(p: ControlProblem, e: Ensemble, delta: float, rng
 def gain_from_moments(bar: EmpiricalMoments, tilde: EmpiricalMoments
                       ) -> GainPair:
     """A = Cbar^-1 - Ctilde^-1 (symmetrized), c = Ctilde^-1 m~ - Cbar^-1 m."""
-    d = bar.cov.shape[0]
     bar_inv = bar.inv()
     tilde_inv = tilde.inv()
     A = bar_inv - tilde_inv
@@ -95,6 +108,7 @@ def gain_from_moments(bar: EmpiricalMoments, tilde: EmpiricalMoments
     return GainPair(A=A, c=c)
 
 
+@block_or_state
 def g_tilde_kf(p: ControlProblem, x, tilde: EmpiricalMoments, gain: GainPair):
     """Reverse-sweep cost-of-control drift term
 
@@ -102,13 +116,28 @@ def g_tilde_kf(p: ControlProblem, x, tilde: EmpiricalMoments, gain: GainPair):
 
     with Sigma and G frozen at the reverse mean m~.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
     m = tilde.mean
     g = np.asarray(p.gain(m), dtype=float)
     core = p.sigma_sq(m) - g @ p.control_weight @ g.T
-    return 0.5 * tilde.cov @ gain.A @ core @ (gain.A @ (x + m) + 2.0 * gain.c)
+    return 0.5 * tilde.cov @ gain.A @ core @ (
+        gain.A @ (x + m[:, None]) + 2.0 * gain.c[:, None])
 
 
+def _reverse_drift(p: ControlProblem, x, bar, tilde: EmpiricalMoments,
+                   eps_noise: float, correction):
+    """``reverse_drift`` of a (d, M) block with ``correction`` in place of
+    g_tilde_kf(x).  ``bar=None`` drops the forward group, which the
+    split-step sweep replaces by its hull projection."""
+    sig = map_columns(p.sigma_sq, x)
+    div = map_columns(p.div_sigma, x)
+    out = -map_columns(p.drift, x)
+    if bar is not None:
+        out = out + _grad_log_group(sig, div, bar, x)
+    return (out - 0.5 * (1.0 - eps_noise) * _grad_log_group(sig, div, tilde, x)
+            - correction)
+
+
+@block_or_state
 def reverse_drift(p: ControlProblem, x, bar: EmpiricalMoments,
                   tilde: EmpiricalMoments, gain: GainPair, eps_noise: float):
     """Drift of the reverse mean-field SDE under the Gaussian closure.
@@ -117,15 +146,5 @@ def reverse_drift(p: ControlProblem, x, bar: EmpiricalMoments,
           - (1-eps)/2 * (div Sigma - Sigma Ctilde^-1 (x - m~))
           - g_tilde_kf(x).
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    sig = p.sigma_sq(x)
-    div = p.div_sigma(x)
-    bar_group = div - sig @ bar.solve(x - bar.mean)
-    tilde_group = div - sig @ tilde.solve(x - tilde.mean)
-    out = (-np.asarray(p.drift(x), dtype=float)
-           + bar_group
-           - 0.5 * (1.0 - eps_noise) * tilde_group
-           - g_tilde_kf(p, x, tilde, gain))
-    if not np.all(np.isfinite(out)):
-        raise NumericalBlowupError("non-finite reverse drift")
-    return out
+    return _reverse_drift(p, x, bar, tilde, eps_noise,
+                          g_tilde_kf(p, x, tilde, gain))

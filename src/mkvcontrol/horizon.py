@@ -5,17 +5,21 @@ correction acquires an extra gamma-proportional term that pulls the
 reverse covariance back toward the forward one.  The stationary
 control law is extracted from the equilibrated forward and reverse
 moments.
+
+Both equilibration loops reuse the solver's block steps; the reverse
+one swaps in ``g_tilde_kf_discounted`` as the cost-of-control
+correction of the Gaussian-closure reverse drift.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import enkf
-from .errors import ConvergenceError, DimensionError, NumericalBlowupError
+from .errors import ConvergenceError, DimensionError
 from .problem import ControlProblem
-from .solver import SolverConfig, _check_finite
-from .stats import Ensemble, EmpiricalMoments, cross_cov, map_moments, moments
+from .solver import SolverConfig, _euler_step, _forward_step, _init_particles
+from .stats import Ensemble, EmpiricalMoments, block_or_state, moments
 
 
 @dataclass
@@ -34,6 +38,7 @@ class HorizonConfig:
             raise DimensionError("max_time must be positive")
 
 
+@block_or_state
 def g_tilde_kf_discounted(p: ControlProblem, x, tilde: EmpiricalMoments,
                           gain: enkf.GainPair, gamma: float):
     """Discounted reverse drift correction
@@ -43,12 +48,12 @@ def g_tilde_kf_discounted(p: ControlProblem, x, tilde: EmpiricalMoments,
 
     Reduces to the finite-horizon term at gamma = 0.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
     m = tilde.mean
     g = np.asarray(p.gain(m), dtype=float)
     core = gamma * np.eye(p.dim_x) + gain.A @ (
         p.sigma_sq(m) - g @ p.control_weight @ g.T)
-    return 0.5 * tilde.cov @ core @ (gain.A @ (x + m) + 2.0 * gain.c)
+    return 0.5 * tilde.cov @ core @ (
+        gain.A @ (x + m[:, None]) + 2.0 * gain.c[:, None])
 
 
 def _moment_residual(prev: EmpiricalMoments, cur: EmpiricalMoments) -> float:
@@ -71,11 +76,7 @@ def stationary_solve(p: ControlProblem, hcfg: HorizonConfig):
     fwd_rng, rev_rng = (np.random.default_rng(s) for s in streams)
 
     # forward equilibration
-    x = np.tile(p.start[:, None], (1, cfg.ensemble_size))
-    if cfg.init_cov is not None:
-        chol = np.linalg.cholesky(np.atleast_2d(np.asarray(cfg.init_cov,
-                                                           dtype=float)))
-        x = x + chol @ fwd_rng.standard_normal((p.dim_x, cfg.ensemble_size))
+    x = _init_particles(p, cfg, fwd_rng)
     bar_prev = None
     fwd_steps = 0
     fwd_residual = np.inf
@@ -90,20 +91,7 @@ def stationary_solve(p: ControlProblem, hcfg: HorizonConfig):
                 fwd_steps = step
                 break
         bar_prev = bar
-        eps = cfg.eps_noise_forward.at(step)
-        cxh = cross_cov(e, p.running_map)
-        mh, _ = map_moments(e, p.running_map)
-        x_new = x.copy()
-        for i in range(cfg.ensemble_size):
-            x_new[:, i] = x[:, i] + dt * enkf.forward_drift(
-                p, x[:, i], bar, cxh, mh, eps)
-        if eps > 0.0:
-            noise = fwd_rng.standard_normal((p.dim_b, cfg.ensemble_size))
-            for i in range(cfg.ensemble_size):
-                x_new[:, i] += np.sqrt(eps * dt) * (
-                    np.asarray(p.noise(x[:, i]), dtype=float) @ noise[:, i])
-        x = x_new
-        _check_finite(x, step, step * dt)
+        x = _forward_step(p, cfg, e, bar, step, fwd_rng)
     else:
         raise ConvergenceError(
             f"forward sweep did not equilibrate within max_time "
@@ -130,29 +118,10 @@ def stationary_solve(p: ControlProblem, hcfg: HorizonConfig):
         tilde_prev = tilde
         gain = enkf.gain_from_moments(bar_eq, tilde)
         eps = cfg.eps_noise_reverse.at(step)
-        y_new = y.copy()
-        for i in range(cfg.ensemble_size):
-            yi = y[:, i]
-            sig = p.sigma_sq(yi)
-            div = p.div_sigma(yi)
-            bar_group = div - sig @ bar_eq.solve(yi - bar_eq.mean)
-            tilde_group = div - sig @ tilde.solve(yi - tilde.mean)
-            drift = (-np.asarray(p.drift(yi), dtype=float)
-                     + bar_group
-                     - 0.5 * (1.0 - eps) * tilde_group
-                     - g_tilde_kf_discounted(p, yi, tilde, gain, hcfg.gamma))
-            if not np.all(np.isfinite(drift)):
-                raise NumericalBlowupError(
-                    f"non-finite reverse drift at step {step}",
-                    step=step, particle=i)
-            y_new[:, i] = yi + dt * drift
-        if eps > 0.0:
-            noise = rev_rng.standard_normal((p.dim_b, cfg.ensemble_size))
-            for i in range(cfg.ensemble_size):
-                y_new[:, i] += np.sqrt(eps * dt) * (
-                    np.asarray(p.noise(y[:, i]), dtype=float) @ noise[:, i])
-        y = y_new
-        _check_finite(y, step, step * dt)
+        drift = enkf._reverse_drift(
+            p, y, bar_eq, tilde, eps,
+            g_tilde_kf_discounted(p, y, tilde, gain, hcfg.gamma))
+        y = _euler_step(p, y, drift, eps, dt, rev_rng, step, step * dt)
     else:
         raise ConvergenceError(
             f"reverse sweep did not equilibrate within max_time "

@@ -10,6 +10,11 @@ Two reverse backends are available: ``enkf`` (all interaction terms
 through Gaussian moment closures) and ``dmap_enkf`` (grad-log density
 terms through a diffusion-map projection onto the stored forward
 ensembles, keeping reverse particles inside their convex hull).
+
+Each step is written once and acts on the whole (d, M) particle
+block: ``_forward_step`` and ``_reverse_sweep`` call their drift once
+per step and share ``_euler_step``, which also locates the first
+non-finite particle.  ``horizon.stationary_solve`` reuses them.
 """
 
 from dataclasses import dataclass, field
@@ -21,7 +26,8 @@ from . import dmap, enkf
 from .errors import DimensionError, NumericalBlowupError
 from .problem import (AffineControlSchedule, ControlProblem, apply_control,
                       control_cost, running_cost, terminal_cost)
-from .stats import Ensemble, EmpiricalMoments, cross_cov, map_moments, moments
+from .stats import (Ensemble, EmpiricalMoments, cross_cov, map_columns,
+                    map_moments, moments)
 
 BACKENDS = ("enkf", "dmap_enkf")
 
@@ -67,12 +73,15 @@ class SolverConfig:
     sinkhorn_max_iter: int = dmap.DEFAULT_SINKHORN_MAX_ITER
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise DimensionError("dt must be positive")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise DimensionError("dt must be positive and finite")
         if self.ensemble_size < 2:
             raise DimensionError("ensemble_size must be at least 2")
-        if self.inflation < 0:
-            raise DimensionError("inflation must be nonnegative")
+        if not (np.isfinite(self.inflation) and self.inflation >= 0):
+            raise DimensionError("inflation must be nonnegative and finite")
+        if self.eps_dm is not None and not (np.isfinite(self.eps_dm)
+                                            and self.eps_dm > 0):
+            raise DimensionError("eps_dm must be positive and finite")
         if self.backend not in BACKENDS:
             raise DimensionError(f"backend must be one of {BACKENDS}")
         if self.record_every < 1:
@@ -139,6 +148,44 @@ def _check_finite(x, step, time):
             step=step, time=time, particle=bad)
 
 
+def _euler_step(p: ControlProblem, x, drift, eps, dt, rng, step, time):
+    """One Euler-Maruyama step x + dt drift + sqrt(eps dt) sigma(x) dW of
+    a (d, M) block.  A non-finite result is reported against ``step``
+    and ``time``, those of the grid point the step starts from."""
+    x_new = x + dt * drift
+    if eps > 0.0:
+        noise = rng.standard_normal((p.dim_b, x.shape[1]))
+        x_new += np.sqrt(eps * dt) * np.einsum(
+            "ijm,jm->im", map_columns(p.noise, x), noise)
+    _check_finite(x_new, step, time)
+    return x_new
+
+
+def _forward_step(p: ControlProblem, cfg: SolverConfig, e: Ensemble,
+                  bar: EmpiricalMoments, step: int, rng, residuals=None):
+    """Advance the forward ensemble ``e`` (moments ``bar``) by one step.
+
+    Given a ``residuals`` list, a step that is not fully noisy takes the
+    grad-log group from a diffusion map on the ensemble instead of the
+    Gaussian closure, and appends the map's Sinkhorn residual.
+    """
+    x = e.particles
+    eps = cfg.eps_noise_forward.at(step)
+    cxh = cross_cov(e, p.running_map)
+    mh, _ = map_moments(e, p.running_map)
+    if residuals is not None and eps < 1.0:
+        op = dmap.build_operator(x, p.sigma_sq, cfg.kernel_scale(),
+                                 tol=cfg.sinkhorn_tol,
+                                 max_iter=cfg.sinkhorn_max_iter)
+        residuals.append(max(op.row_residual, op.col_residual))
+        grad_log = np.column_stack([dmap.grad_log_estimate(op, x[:, i])
+                                    for i in range(x.shape[1])])
+        drift = enkf._forward_drift(p, x, grad_log, cxh, mh, eps)
+    else:
+        drift = enkf.forward_drift(p, x, bar, cxh, mh, eps)
+    return _euler_step(p, x, drift, eps, cfg.dt, rng, step, e.time)
+
+
 def forward_sweep(p: ControlProblem, cfg: SolverConfig, rng):
     """Integrate the forward mean-field SDE from x0 over [0, T].
 
@@ -147,15 +194,15 @@ def forward_sweep(p: ControlProblem, cfg: SolverConfig, rng):
     split-step reverse sweep; otherwise only moments are stored.
     """
     n = cfg.n_steps(p.horizon)
-    dt = cfg.dt
-    d, m = p.dim_x, cfg.ensemble_size
-    times = np.arange(n + 1) * dt
+    d = p.dim_x
+    times = np.arange(n + 1) * cfg.dt
     record = SweepRecord(times=times,
                          bar_means=np.zeros((n + 1, d)),
                          bar_covs=np.zeros((n + 1, d, d)))
-    store_ensembles = cfg.backend == "dmap_enkf"
-    if store_ensembles:
+    residuals = None
+    if cfg.backend == "dmap_enkf":
         record.forward_ensembles = []
+        residuals = record.sinkhorn_residuals
 
     x = _init_particles(p, cfg, rng)
     for step in range(n + 1):
@@ -163,50 +210,23 @@ def forward_sweep(p: ControlProblem, cfg: SolverConfig, rng):
         bar = moments(e, cfg.inflation)
         record.bar_means[step] = bar.mean
         record.bar_covs[step] = bar.cov
-        if store_ensembles:
+        if residuals is not None:
             record.forward_ensembles.append(x.copy())
         if step == n:
             break
-
-        eps = cfg.eps_noise_forward.at(step)
-        cxh = cross_cov(e, p.running_map)
-        mh, _ = map_moments(e, p.running_map)
-        drift = np.zeros_like(x)
-        if cfg.backend == "dmap_enkf" and eps < 1.0:
-            op = dmap.build_operator(x, p.sigma_sq, cfg.kernel_scale(),
-                                     tol=cfg.sinkhorn_tol,
-                                     max_iter=cfg.sinkhorn_max_iter)
-            record.sinkhorn_residuals.append(
-                max(op.row_residual, op.col_residual))
-            for i in range(m):
-                xi = x[:, i]
-                grad_log = dmap.grad_log_estimate(op, xi)
-                drift[:, i] = (np.asarray(p.drift(xi), dtype=float)
-                               - 0.5 * (1.0 - eps) * grad_log
-                               - enkf.g_bar_kf(p, xi, cxh, mh))
-        else:
-            for i in range(m):
-                drift[:, i] = enkf.forward_drift(p, x[:, i], bar, cxh, mh, eps)
-
-        x_new = x + dt * drift
-        if eps > 0.0:
-            noise = rng.standard_normal((p.dim_b, m))
-            for i in range(m):
-                x_new[:, i] += np.sqrt(eps * dt) * (
-                    np.asarray(p.noise(x[:, i]), dtype=float) @ noise[:, i])
-        x = x_new
-        _check_finite(x, step, times[step])
+        x = _forward_step(p, cfg, e, bar, step, rng, residuals)
     return record, Ensemble(particles=x, time=p.horizon)
 
 
-def reverse_sweep_enkf(p: ControlProblem, cfg: SolverConfig,
-                       record: SweepRecord, terminal: Ensemble, rng
-                       ) -> SweepRecord:
-    """Integrate the reverse mean-field SDE from T down to 0 using the
-    frozen per-step forward moments, emitting a gain pair per step."""
+def _reverse_sweep(p: ControlProblem, cfg: SolverConfig, record: SweepRecord,
+                   terminal: Ensemble, rng, split: bool) -> SweepRecord:
+    """Integrate the reverse mean-field SDE from T down to 0 against the
+    frozen forward moments, recording moments and a gain pair per grid
+    point.  ``split`` selects the split-step variant: the forward
+    grad-log group leaves the drift and each step ends with a
+    diffusion-map projection onto the forward ensemble it arrives at."""
     n = len(record.times) - 1
-    dt = cfg.dt
-    d, m = p.dim_x, cfg.ensemble_size
+    d = p.dim_x
     record.tilde_means = np.zeros((n + 1, d))
     record.tilde_covs = np.zeros((n + 1, d, d))
     record.gains = np.zeros((n + 1, d, d))
@@ -214,9 +234,10 @@ def reverse_sweep_enkf(p: ControlProblem, cfg: SolverConfig,
 
     x = terminal.particles.copy()
     for back, step in enumerate(range(n, -1, -1)):
-        tilde = moments(Ensemble(particles=x, time=record.times[step]),
-                        cfg.inflation)
-        bar = _frozen_bar(record, step)
+        time = record.times[step]
+        tilde = moments(Ensemble(particles=x, time=time), cfg.inflation)
+        bar = EmpiricalMoments(mean=record.bar_means[step],
+                               cov=record.bar_covs[step])
         gain = enkf.gain_from_moments(bar, tilde)
         record.tilde_means[step] = tilde.mean
         record.tilde_covs[step] = tilde.cov
@@ -226,25 +247,40 @@ def reverse_sweep_enkf(p: ControlProblem, cfg: SolverConfig,
             break
 
         eps = cfg.eps_noise_reverse.at(back)
-        drift = np.zeros_like(x)
-        for i in range(m):
-            try:
-                drift[:, i] = enkf.reverse_drift(p, x[:, i], bar, tilde,
-                                                 gain, eps)
-            except NumericalBlowupError as exc:
-                exc.step = step
-                exc.time = record.times[step]
-                exc.particle = i
-                raise
-        x_new = x + dt * drift
-        if eps > 0.0:
-            noise = rng.standard_normal((p.dim_b, m))
-            for i in range(m):
-                x_new[:, i] += np.sqrt(eps * dt) * (
-                    np.asarray(p.noise(x[:, i]), dtype=float) @ noise[:, i])
-        x = x_new
-        _check_finite(x, step - 1, record.times[step - 1])
+        if split:
+            drift = enkf._reverse_drift(p, x, None, tilde, eps,
+                                        enkf.g_tilde_kf(p, x, tilde, gain))
+        else:
+            drift = enkf.reverse_drift(p, x, bar, tilde, gain, eps)
+        x = _euler_step(p, x, drift, eps, cfg.dt, rng, step, time)
+        if split:
+            x = _project(p, cfg, record, step - 1, x)
     return record
+
+
+def _project(p: ControlProblem, cfg: SolverConfig, record: SweepRecord,
+             step: int, x):
+    """Diffusion-map projection of ``x`` onto the forward ensemble at
+    ``step``; the result lies in the convex hull of that ensemble."""
+    op = dmap.build_operator(record.forward_ensembles[step], p.sigma_sq,
+                             cfg.kernel_scale(), tol=cfg.sinkhorn_tol,
+                             max_iter=cfg.sinkhorn_max_iter)
+    record.sinkhorn_residuals.append(max(op.row_residual, op.col_residual))
+    projected = np.zeros_like(x)
+    for i in range(x.shape[1]):
+        w = dmap.membership_weights(op, x[:, i])
+        record.hull_min_weight.append(float(w.min()))
+        record.hull_sum_deviation.append(abs(float(w.sum()) - 1.0))
+        projected[:, i] = op.anchors @ w
+    return projected
+
+
+def reverse_sweep_enkf(p: ControlProblem, cfg: SolverConfig,
+                       record: SweepRecord, terminal: Ensemble, rng
+                       ) -> SweepRecord:
+    """Integrate the reverse mean-field SDE from T down to 0 using the
+    frozen per-step forward moments, emitting a gain pair per step."""
+    return _reverse_sweep(p, cfg, record, terminal, rng, split=False)
 
 
 def reverse_sweep_splitstep(p: ControlProblem, cfg: SolverConfig,
@@ -256,63 +292,7 @@ def reverse_sweep_splitstep(p: ControlProblem, cfg: SolverConfig,
     hull of the forward anchors."""
     if record.forward_ensembles is None:
         raise DimensionError("split-step sweep needs stored forward ensembles")
-    n = len(record.times) - 1
-    dt = cfg.dt
-    d, m = p.dim_x, cfg.ensemble_size
-    record.tilde_means = np.zeros((n + 1, d))
-    record.tilde_covs = np.zeros((n + 1, d, d))
-    record.gains = np.zeros((n + 1, d, d))
-    record.shifts = np.zeros((n + 1, d))
-
-    x = terminal.particles.copy()
-    for back, step in enumerate(range(n, -1, -1)):
-        tilde = moments(Ensemble(particles=x, time=record.times[step]),
-                        cfg.inflation)
-        bar = _frozen_bar(record, step)
-        gain = enkf.gain_from_moments(bar, tilde)
-        record.tilde_means[step] = tilde.mean
-        record.tilde_covs[step] = tilde.cov
-        record.gains[step] = gain.A
-        record.shifts[step] = gain.c
-        if step == 0:
-            break
-
-        eps = cfg.eps_noise_reverse.at(back)
-        half = np.zeros_like(x)
-        for i in range(m):
-            xi = x[:, i]
-            sig = p.sigma_sq(xi)
-            tilde_group = p.div_sigma(xi) - sig @ tilde.solve(xi - tilde.mean)
-            drift = (-np.asarray(p.drift(xi), dtype=float)
-                     - enkf.g_tilde_kf(p, xi, tilde, gain)
-                     - 0.5 * (1.0 - eps) * tilde_group)
-            half[:, i] = xi + dt * drift
-        if eps > 0.0:
-            noise = rng.standard_normal((p.dim_b, m))
-            for i in range(m):
-                half[:, i] += np.sqrt(eps * dt) * (
-                    np.asarray(p.noise(x[:, i]), dtype=float) @ noise[:, i])
-        _check_finite(half, step, record.times[step])
-
-        anchors = record.forward_ensembles[step - 1]
-        op = dmap.build_operator(anchors, p.sigma_sq, cfg.kernel_scale(),
-                                 tol=cfg.sinkhorn_tol,
-                                 max_iter=cfg.sinkhorn_max_iter)
-        record.sinkhorn_residuals.append(max(op.row_residual, op.col_residual))
-        projected = np.zeros_like(x)
-        for i in range(m):
-            w = dmap.membership_weights(op, half[:, i])
-            record.hull_min_weight.append(float(w.min()))
-            record.hull_sum_deviation.append(abs(float(w.sum()) - 1.0))
-            projected[:, i] = op.anchors @ w
-        x = projected
-        _check_finite(x, step - 1, record.times[step - 1])
-    return record
-
-
-def _frozen_bar(record: SweepRecord, step: int):
-    return EmpiricalMoments(mean=record.bar_means[step],
-                            cov=record.bar_covs[step])
+    return _reverse_sweep(p, cfg, record, terminal, rng, split=True)
 
 
 def solve(p: ControlProblem, cfg: SolverConfig):

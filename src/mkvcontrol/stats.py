@@ -7,12 +7,36 @@ additive inflation ``delta * I`` so that it stays invertible even for
 very small ensembles.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import DimensionError, InsufficientEnsembleError
+from .errors import (DimensionError, InsufficientEnsembleError,
+                     NumericalBlowupError)
+
+
+def map_columns(f, x):
+    """Evaluate the one-state map ``f`` on each column of the (d, M)
+    block ``x``; results are stacked along a new last axis, so a vector
+    map gives (k, M) and a matrix map (r, c, M)."""
+    return np.stack([np.atleast_1d(np.asarray(f(x[:, i]), dtype=float))
+                     for i in range(x.shape[1])], axis=-1)
+
+
+def block_or_state(fn):
+    """Let ``fn(p, x, ...)``, written for a (d, M) block ``x``, also take
+    a single (d,) state, for which it returns a (d,) result."""
+
+    @functools.wraps(fn)
+    def wrapper(p, x, *args, **kwargs):
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            return fn(p, x, *args, **kwargs)
+        return fn(p, x.reshape(-1, 1), *args, **kwargs)[:, 0]
+
+    return wrapper
 
 
 @dataclass
@@ -40,20 +64,23 @@ class Ensemble:
 
 @dataclass
 class EmpiricalMoments:
-    """Inflated empirical mean/covariance of an ensemble.
-
-    ``cov`` already includes the additive inflation ``inflation * I``.
-    """
+    """Empirical mean/covariance of an ensemble; ``cov`` already includes
+    any additive inflation."""
 
     mean: np.ndarray
     cov: np.ndarray
-    inflation: float = 0.0
     _factor: tuple = field(default=None, repr=False, compare=False)
 
     def solve(self, y):
-        """cov^-1 y via a cached Cholesky factorization."""
+        """cov^-1 y via a cached Cholesky factorization; ``y`` may be a
+        vector or a (d, M) block."""
         if self._factor is None:
-            self._factor = cho_factor(self.cov, lower=True)
+            try:
+                self._factor = cho_factor(self.cov, lower=True)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalBlowupError(
+                    "covariance is not positive definite; raise the "
+                    "inflation or the ensemble size") from exc
         return cho_solve(self._factor, np.asarray(y, dtype=float))
 
     def inv(self):
@@ -76,7 +103,7 @@ def moments(e: Ensemble, delta: float = 0.0) -> EmpiricalMoments:
     m = x.mean(axis=1)
     dx = x - m[:, None]
     cov = (dx @ dx.T) / (e.size - 1) + delta * np.eye(e.dim)
-    return EmpiricalMoments(mean=m, cov=cov, inflation=delta)
+    return EmpiricalMoments(mean=m, cov=cov)
 
 
 def cross_cov(e: Ensemble, f) -> np.ndarray:
@@ -86,8 +113,7 @@ def cross_cov(e: Ensemble, f) -> np.ndarray:
     """
     _require_size(e)
     x = e.particles
-    fx = np.column_stack([np.asarray(f(x[:, i]), dtype=float).reshape(-1)
-                          for i in range(e.size)])
+    fx = map_columns(f, x)
     dx = x - x.mean(axis=1)[:, None]
     df = fx - fx.mean(axis=1)[:, None]
     return (dx @ df.T) / (e.size - 1)
@@ -96,8 +122,7 @@ def cross_cov(e: Ensemble, f) -> np.ndarray:
 def map_moments(e: Ensemble, f):
     """Mean and (uninflated) auto-covariance of f over the ensemble."""
     _require_size(e)
-    fx = np.column_stack([np.asarray(f(e.particles[:, i]), dtype=float).reshape(-1)
-                          for i in range(e.size)])
+    fx = map_columns(f, e.particles)
     mf = fx.mean(axis=1)
     df = fx - mf[:, None]
     return mf, (df @ df.T) / (e.size - 1)

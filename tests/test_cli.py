@@ -5,8 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from mkvcontrol.cli import (EXIT_CONFIG, EXIT_OK, build_parser, main,
-                            read_control_csv, resolve_run)
+from mkvcontrol.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, build_parser,
+                            main, read_control_csv, resolve_run)
 
 
 def run_cli(*argv):
@@ -75,6 +75,30 @@ def test_unknown_config_key_is_config_error(tmp_path):
     cfg.write_text("[run]\nscenario = lq\n[solver]\nwarp_factor = 9\n")
     assert run_cli("solve", "--config", str(cfg),
                    "--out", str(tmp_path)) == EXIT_CONFIG
+
+
+def test_nan_dt_flag_is_config_error(tmp_path, capsys):
+    assert run_cli(*solve_args(tmp_path, "--dt", "nan")) == EXIT_CONFIG
+    assert "dt must be positive and finite" in capsys.readouterr().err
+
+
+def test_nan_inflation_in_config_file_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[run]\nscenario = lq\n[solver]\ninflation = nan\n")
+    assert run_cli("solve", "--config", str(cfg),
+                   "--out", str(tmp_path)) == EXIT_CONFIG
+    assert "inflation" in capsys.readouterr().err
+
+
+def test_singular_covariance_is_numerical_failure(tmp_path, capsys):
+    # two uninflated particles at the same start have a zero covariance,
+    # so the first forward step cannot factor it
+    cfg = tmp_path / "flat.ini"
+    cfg.write_text("[run]\nscenario = pendulum\n"
+                   "[solver]\ninflation = 0\nensemble_size = 2\n")
+    assert run_cli("solve", "--config", str(cfg),
+                   "--out", str(tmp_path)) == EXIT_NUMERICAL
+    assert "not positive definite" in capsys.readouterr().err
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -1,0 +1,197 @@
+"""Tests of the block sweep engine: equivalence with the per-particle
+reference loops, block-versus-column properties of the drift terms, and
+the location carried by blow-up errors."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_sweeps as ref
+from mkvcontrol import (ControlProblem, Ensemble, HorizonConfig,
+                        NoiseSchedule, NumericalBlowupError, SolverConfig,
+                        forward_drift, g_bar_kf, g_tilde_kf,
+                        g_tilde_kf_discounted, gain_from_moments, get_scenario,
+                        moments, reverse_drift, solve, stationary_solve)
+from mkvcontrol.solver import forward_sweep, reverse_sweep_enkf
+
+# scenario -> (horizon, relative tolerance against the reference); the
+# d = 2 pendulum multiplies 2x2 matrices into blocks, which BLAS may sum
+# in a different order than one matrix-vector product per particle
+SHORT = {"lq": (0.02, 0.0), "langevin": (0.2, 0.0),
+         "ou_diffusion": (0.2, 0.0), "pendulum": (0.01, 1e-12)}
+
+
+def _assert_match(got, want, rtol):
+    if rtol == 0.0:
+        assert got.tobytes() == want.tobytes()
+    else:
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+
+
+@pytest.mark.parametrize("name", list(SHORT))
+def test_solve_matches_per_particle_reference(name):
+    horizon, rtol = SHORT[name]
+    sc = get_scenario(name)
+    p = sc.make_problem()
+    p.horizon = horizon
+    cfg = sc.default_config()
+    sched, rec = solve(p, cfg)
+    want = ref.solve(p, cfg)
+    got = {"gains": sched.gains, "shifts": sched.shifts}
+    for key in ("bar_means", "bar_covs", "tilde_means", "tilde_covs"):
+        got[key] = getattr(rec, key)
+    for key, value in got.items():
+        _assert_match(value, want[key], rtol)
+
+
+def test_stationary_solve_matches_per_particle_reference():
+    p = get_scenario("lq").make_problem()
+    base = get_scenario("lq").default_config()
+    base.ensemble_size = 16
+    hcfg = HorizonConfig(gamma=0.5, base=base, equilibrium_tol=1e-3)
+    gain, diag = stationary_solve(p, hcfg)
+    want_gain, want_steps = ref.stationary_solve(p, hcfg)
+    assert (diag["forward_steps"], diag["reverse_steps"]) == want_steps
+    _assert_match(gain.A, want_gain.A, 0.0)
+    _assert_match(gain.c, want_gain.c, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# block drifts against their column-by-column evaluation
+
+def _nonlinear_problem():
+    return ControlProblem(
+        dim_x=2, dim_u=1, dim_b=2, dim_h=1, dim_xi=2,
+        drift=lambda x: np.array([x[1], np.sin(x[0]) - 0.3 * x[1]]),
+        gain=lambda x: np.array([[0.0], [1.0 + 0.5 * np.cos(x[0])]]),
+        noise=lambda x: np.array([[1.0 + 0.2 * np.sin(x[1]), 0.0],
+                                  [0.1 * x[0], 0.8]]),
+        running_map=lambda x: np.array([x[0] * x[1]]),
+        running_weight=np.array([[0.5]]),
+        terminal_map=lambda x: np.asarray(x, dtype=float),
+        terminal_weight=np.eye(2),
+        control_weight=np.array([[2.0]]),
+        horizon=1.0,
+        start=np.array([0.3, -0.2]),
+        div_sigma=lambda x: np.array([0.1 * np.cos(x[1]), 0.02 * x[0]]))
+
+
+PROBLEM = _nonlinear_problem()
+
+blocks = st.integers(min_value=2, max_value=7).flatmap(
+    lambda m: st.lists(st.floats(-2.0, 2.0), min_size=2 * m,
+                       max_size=2 * m).map(
+        lambda v: np.array(v).reshape(2, m)))
+
+
+def _closure(x):
+    """Moments, gain and cross-covariance terms of an ensemble near x."""
+    rng = np.random.default_rng(0)
+    e = Ensemble(particles=rng.standard_normal((2, 6)) + x.mean(axis=1)[:, None])
+    bar = moments(e, 1e-2)
+    tilde = moments(Ensemble(particles=0.7 * e.particles), 1e-2)
+    gain = gain_from_moments(bar, tilde)
+    return bar, tilde, gain, np.array([[0.4], [-0.2]]), np.array([0.3])
+
+
+DRIFTS = {
+    "forward_drift": lambda x, bar, tilde, gain, cxh, mh:
+        forward_drift(PROBLEM, x, bar, cxh, mh, 0.3),
+    "reverse_drift": lambda x, bar, tilde, gain, cxh, mh:
+        reverse_drift(PROBLEM, x, bar, tilde, gain, 0.3),
+    "g_bar_kf": lambda x, bar, tilde, gain, cxh, mh:
+        g_bar_kf(PROBLEM, x, cxh, mh),
+    "g_tilde_kf": lambda x, bar, tilde, gain, cxh, mh:
+        g_tilde_kf(PROBLEM, x, tilde, gain),
+    "g_tilde_kf_discounted": lambda x, bar, tilde, gain, cxh, mh:
+        g_tilde_kf_discounted(PROBLEM, x, tilde, gain, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", list(DRIFTS))
+@settings(max_examples=25, deadline=None)
+@given(x=blocks)
+def test_block_drift_equals_columnwise(name, x):
+    f, args = DRIFTS[name], _closure(x)
+    block = f(x, *args)
+    assert block.shape == x.shape
+    columns = np.column_stack([f(x[:, i], *args) for i in range(x.shape[1])])
+    np.testing.assert_allclose(block, columns, rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("name", list(DRIFTS))
+@settings(max_examples=25, deadline=None)
+@given(x=blocks, seed=st.integers(0, 2 ** 16))
+def test_block_drift_is_permutation_equivariant(name, x, seed):
+    f, args = DRIFTS[name], _closure(x)
+    perm = np.random.default_rng(seed).permutation(x.shape[1])
+    np.testing.assert_allclose(f(x[:, perm], *args), f(x, *args)[:, perm],
+                               rtol=1e-12, atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# blow-up location
+
+def _walker(threshold):
+    """Unit drift below ``threshold``, NaN at or above it."""
+    return ControlProblem(
+        dim_x=1, dim_u=1, dim_b=1, dim_h=1, dim_xi=1,
+        drift=lambda x: np.array([1.0 if x[0] < threshold else np.nan]),
+        gain=lambda x: np.array([[1.0]]),
+        noise=lambda x: np.array([[1.0]]),
+        running_map=lambda x: np.zeros(1),
+        running_weight=np.array([[1.0]]),
+        terminal_map=lambda x: np.asarray(x, dtype=float),
+        terminal_weight=np.array([[1.0]]),
+        control_weight=np.array([[1.0]]),
+        horizon=2.0,
+        start=np.array([0.0]))
+
+
+def _quiet_config(**kw):
+    return SolverConfig(dt=0.25, ensemble_size=4,
+                        eps_noise_forward=NoiseSchedule.constant(0.0),
+                        inflation=1e-6, **kw)
+
+
+def test_forward_blowup_reports_first_bad_particle():
+    # spread start: only the rightmost particle is past the threshold
+    cfg = _quiet_config(init_cov=np.array([[1.0]]))
+    x0 = np.random.default_rng(5).standard_normal(4)
+    top = int(np.argmax(x0))
+    threshold = 0.5 * (np.sort(x0)[-1] + np.sort(x0)[-2])
+    with pytest.raises(NumericalBlowupError) as info:
+        forward_sweep(_walker(threshold), cfg, np.random.default_rng(5))
+    err = info.value
+    assert top == 3   # not the first column
+    assert (err.step, err.time, err.particle) == (0, 0.0, top)
+
+
+def test_forward_blowup_reports_step_and_time():
+    # identical particles move by exactly dt per step and reach the
+    # threshold 1.0 at step 4
+    with pytest.raises(NumericalBlowupError) as info:
+        forward_sweep(_walker(1.0), _quiet_config(), np.random.default_rng(0))
+    err = info.value
+    assert (err.step, err.time, err.particle) == (4, 1.0, 0)
+
+
+def test_stationary_blowup_reports_location():
+    hcfg = HorizonConfig(gamma=0.5, base=_quiet_config())
+    with pytest.raises(NumericalBlowupError) as info:
+        stationary_solve(_walker(1.0), hcfg)
+    err = info.value
+    assert (err.step, err.time, err.particle) == (4, 1.0, 0)
+
+
+def test_reverse_blowup_reports_location():
+    # the reverse drift is -b: NaN for the one terminal particle past 3
+    p = _walker(3.0)
+    cfg = _quiet_config()
+    record, _ = forward_sweep(_walker(np.inf), cfg, np.random.default_rng(0))
+    terminal = Ensemble(particles=np.array([[0.0, 5.0, 1.0, 2.0]]), time=2.0)
+    with pytest.raises(NumericalBlowupError) as info:
+        reverse_sweep_enkf(p, cfg, record, terminal, np.random.default_rng(0))
+    err = info.value
+    assert (err.step, err.time, err.particle) == (8, 2.0, 1)

@@ -52,6 +52,15 @@ def test_config_grid_validation():
         SolverConfig(dt=0.1, backend="spectral")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("dt", float("nan")), ("dt", float("inf")),
+    ("inflation", float("nan")), ("inflation", float("inf")),
+    ("eps_dm", float("nan")), ("eps_dm", float("inf")), ("eps_dm", 0.0)])
+def test_config_rejects_nonfinite_values(field, value):
+    with pytest.raises(DimensionError, match=field):
+        SolverConfig(**{"dt": 0.1, field: value})
+
+
 def test_forward_sweep_pure_brownian():
     # h = 0, b = 0, eps = 1 throughout: empirical covariance at T is
     # close to Sigma * T
