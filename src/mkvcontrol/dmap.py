@@ -7,9 +7,9 @@ covariance Sigma, the kernel
                / (2 eps))
 
 is scaled by a Sinkhorn vector v so that P = D(v) R D(v) has all row
-and column sums equal to 1/M.  Out-of-sample evaluation through the
-probability vector p(x) = D(v) r(x) / (v^T r(x)) gives the semigroup
-action on the identity map, and
+and column sums equal to 1/M.  Out-of-sample evaluation of a (d, Q)
+block through the probability vectors p(x) = D(v) r(x) / (v^T r(x))
+gives the semigroup action on the identity map, and
 
     (semigroup_apply(x) - x) / eps  ~  div Sigma(x) + Sigma(x) grad log pi(x)
 
@@ -17,27 +17,28 @@ estimates the grad-log density group from samples alone.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConvergenceError, FullRankViolationError
+from .stats import map_columns
 
 DEFAULT_SINKHORN_TOL = 1e-8
 DEFAULT_SINKHORN_MAX_ITER = 10_000
 
 
-@dataclass
+@dataclass(slots=True)
 class DiffusionMapOperator:
     """Anchor ensemble with its Sinkhorn-normalised kernel data."""
 
     anchors: np.ndarray            # (d, M)
-    sigma_at_anchors: np.ndarray   # (M, d, d)
+    sigma_at_anchors: np.ndarray   # (M, d, d), its own array, not a view
     bandwidth: float
     scaling: np.ndarray            # (M,), strictly positive
+    sigma_fn: Callable             # Sigma(x) for out-of-sample points
     row_residual: float = 0.0      # max |row sum of P - 1/M| at convergence
     col_residual: float = 0.0
-    sigma_fn: Optional[Callable] = None  # Sigma(x) for out-of-sample points
 
     @property
     def size(self):
@@ -95,8 +96,7 @@ def build_operator(anchors, sigma_fn, eps_dm, tol=DEFAULT_SINKHORN_TOL,
     """Build the normalised operator from an anchor ensemble and Sigma."""
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     m = anchors.shape[1]
-    sigmas = np.stack([np.atleast_2d(sigma_fn(anchors[:, i]))
-                       for i in range(m)])
+    sigmas = np.moveaxis(map_columns(sigma_fn, anchors), -1, 0).copy()
     kernel = build_kernel(anchors, sigmas, eps_dm)
     v = sinkhorn(kernel, tol=tol, max_iter=max_iter)
     p = (v[:, None] * kernel) * v[None, :]
@@ -108,37 +108,35 @@ def build_operator(anchors, sigma_fn, eps_dm, tol=DEFAULT_SINKHORN_TOL,
                                 sigma_fn=sigma_fn)
 
 
-def membership_weights(op: DiffusionMapOperator, x, sigma_x=None):
-    """Probability vector p(x) = D(v) r(x) / (v^T r(x)).
-
-    Entries are nonnegative and sum to one, so op.anchors @ p lies in
-    the convex hull of the anchors.  ``sigma_x`` defaults to the
-    operator's Sigma map when available, else the first anchor's Sigma
-    (exact for constant noise).
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if sigma_x is None:
-        if op.sigma_fn is not None:
-            sigma_x = np.atleast_2d(op.sigma_fn(x))
-        else:
-            sigma_x = op.sigma_at_anchors[0]
-    diffs = op.anchors.T - x[None, :]                    # (M, d)
-    ssum = op.sigma_at_anchors + np.asarray(sigma_x)[None, :, :]
+def membership_weights(op: DiffusionMapOperator, x):
+    """Probability vectors p(x) = D(v) r(x) / (v^T r(x)): one column of
+    the (M, Q) result per query point, or an (M,) vector for one point.
+    Entries are nonnegative and sum to one, so ``combine(op, p)`` lies in
+    the convex hull of the anchors.  Sigma is evaluated at each point."""
+    block = np.asarray(x, dtype=float).reshape(len(x), -1)
+    sigma_x = np.moveaxis(map_columns(op.sigma_fn, block), -1, 0)
+    # (Q, M) layout: each query's sums add in a single query's order
+    diffs = op.anchors.T[None] - block.T[:, None]          # (Q, M, d)
+    ssum = op.sigma_at_anchors[None] + sigma_x[:, None]    # (Q, M, d, d)
     sol = np.linalg.solve(ssum, diffs[..., None])[..., 0]
-    expo = -0.5 * np.einsum("ij,ij->i", diffs, sol) / op.bandwidth
+    expo = -0.5 * np.einsum("qij,qij->qi", diffs, sol) / op.bandwidth
     # shift exponents before exponentiating; p is scale invariant in r
-    r = np.exp(expo - expo.max())
+    r = np.exp(expo - expo.max(axis=1, keepdims=True))
     w = op.scaling * r
-    return w / w.sum()
+    w = (w / w.sum(axis=1, keepdims=True)).T
+    return w if np.ndim(x) == 2 else w[:, 0]
 
 
-def semigroup_apply(op: DiffusionMapOperator, x, sigma_x=None):
+def combine(op: DiffusionMapOperator, w):
+    """op.anchors @ w by columns, bitwise what one query's product gives."""
+    return np.matmul(op.anchors, w.T[..., None])[..., 0].T
+
+
+def semigroup_apply(op: DiffusionMapOperator, x):
     """Approximate semigroup action on the identity map at x."""
-    p = membership_weights(op, x, sigma_x=sigma_x)
-    return op.anchors @ p
+    return combine(op, membership_weights(op, x))
 
 
-def grad_log_estimate(op: DiffusionMapOperator, x, sigma_x=None):
+def grad_log_estimate(op: DiffusionMapOperator, x):
     """Estimate of div Sigma(x) + Sigma(x) grad log pi(x)."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    return (semigroup_apply(op, x, sigma_x=sigma_x) - x) / op.bandwidth
+    return (semigroup_apply(op, x) - x) / op.bandwidth

@@ -18,7 +18,8 @@ import numpy as np
 from . import enkf
 from .errors import ConvergenceError, DimensionError
 from .problem import ControlProblem
-from .solver import SolverConfig, _euler_step, _forward_step, _init_particles
+from .solver import (SolverConfig, _euler_step, _forward_step,
+                     _init_particles, _located)
 from .stats import Ensemble, EmpiricalMoments, block_or_state, moments
 
 
@@ -97,8 +98,6 @@ def stationary_solve(p: ControlProblem, hcfg: HorizonConfig):
             f"forward sweep did not equilibrate within max_time "
             f"{hcfg.max_time} (residual {fwd_residual:.3e})",
             residual=fwd_residual)
-    bar_eq = moments(Ensemble(particles=x, time=fwd_steps * dt),
-                     cfg.inflation)
 
     # reverse equilibration from the forward equilibrium ensemble
     # (the reverse density starts equal to the forward one)
@@ -108,35 +107,34 @@ def stationary_solve(p: ControlProblem, hcfg: HorizonConfig):
     rev_steps = 0
     tilde_cov_history = []
     for step in range(max_steps):
-        tilde = moments(Ensemble(particles=y, time=0.0), cfg.inflation)
-        tilde_cov_history.append(tilde.cov.copy())
-        if tilde_prev is not None:
-            rev_residual = _moment_residual(tilde_prev, tilde)
-            if rev_residual < hcfg.equilibrium_tol * dt:
-                rev_steps = step
-                break
-        tilde_prev = tilde
-        gain = enkf.gain_from_moments(bar_eq, tilde)
-        eps = cfg.eps_noise_reverse.at(step)
-        drift = enkf._reverse_drift(
-            p, y, bar_eq, tilde, eps,
-            g_tilde_kf_discounted(p, y, tilde, gain, hcfg.gamma))
-        y = _euler_step(p, y, drift, eps, dt, rev_rng, step, step * dt)
+        with _located(step, step * dt):
+            tilde = moments(Ensemble(particles=y, time=0.0), cfg.inflation)
+            tilde_cov_history.append(tilde.cov.copy())
+            if tilde_prev is not None:
+                rev_residual = _moment_residual(tilde_prev, tilde)
+                if rev_residual < hcfg.equilibrium_tol * dt:
+                    rev_steps = step
+                    break
+            tilde_prev = tilde
+            gain = enkf.gain_from_moments(bar, tilde)
+            eps = cfg.eps_noise_reverse.at(step)
+            drift = enkf._reverse_drift(
+                p, y, bar, tilde, eps,
+                g_tilde_kf_discounted(p, y, tilde, gain, hcfg.gamma))
+            y = _euler_step(p, y, drift, eps, dt, rev_rng)
     else:
         raise ConvergenceError(
             f"reverse sweep did not equilibrate within max_time "
             f"{hcfg.max_time} (residual {rev_residual:.3e})",
             residual=rev_residual)
-    tilde_eq = moments(Ensemble(particles=y, time=0.0), cfg.inflation)
-
-    gain = enkf.gain_from_moments(bar_eq, tilde_eq)
+    gain = enkf.gain_from_moments(bar, tilde)
     diagnostics = {
         "forward_steps": fwd_steps,
         "reverse_steps": rev_steps,
         "forward_residual": fwd_residual,
         "reverse_residual": rev_residual,
-        "bar_eq": bar_eq,
-        "tilde_eq": tilde_eq,
+        "bar_eq": bar,
+        "tilde_eq": tilde,
         "tilde_cov_history": np.array(tilde_cov_history),
     }
     return gain, diagnostics

@@ -8,15 +8,16 @@ forward and reverse moments form the affine control schedule.
 
 Two reverse backends are available: ``enkf`` (all interaction terms
 through Gaussian moment closures) and ``dmap_enkf`` (grad-log density
-terms through a diffusion-map projection onto the stored forward
-ensembles, keeping reverse particles inside their convex hull).
+terms through each forward ensemble's diffusion map, built once and
+queried in blocks, which projects reverse particles into its hull).
 
 Each step is written once and acts on the whole (d, M) particle
 block: ``_forward_step`` and ``_reverse_sweep`` call their drift once
-per step and share ``_euler_step``, which also locates the first
-non-finite particle.  ``horizon.stationary_solve`` reuses them.
+per step and share ``_euler_step``, which names the first non-finite
+particle.  ``horizon.stationary_solve`` reuses them.
 """
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -89,9 +90,9 @@ class SolverConfig:
 
     def n_steps(self, horizon: float) -> int:
         n = int(round(horizon / self.dt))
-        if n < 1 or abs(horizon / self.dt - n) > 0.5:
+        if n < 1:
             raise DimensionError(
-                f"horizon {horizon} is not an integer multiple of dt {self.dt}")
+                f"horizon {horizon} is shorter than half of dt {self.dt}")
         return n
 
     def kernel_scale(self) -> float:
@@ -110,6 +111,7 @@ class SweepRecord:
     gains: np.ndarray = None
     shifts: np.ndarray = None
     forward_ensembles: Optional[List[np.ndarray]] = None
+    forward_operators: Optional[List[dmap.DiffusionMapOperator]] = None
     sinkhorn_residuals: List[float] = field(default_factory=list)
     hull_min_weight: List[float] = field(default_factory=list)
     hull_sum_deviation: List[float] = field(default_factory=list)
@@ -140,58 +142,60 @@ def _init_particles(p: ControlProblem, cfg: SolverConfig, rng):
     return x
 
 
-def _check_finite(x, step, time):
-    if not np.all(np.isfinite(x)):
-        bad = int(np.argwhere(~np.isfinite(x).all(axis=0))[0, 0])
-        raise NumericalBlowupError(
-            f"ensemble blew up at step {step} (t={time:.6g}), particle {bad}",
-            step=step, time=time, particle=bad)
+@contextlib.contextmanager
+def _located(step, time):
+    """Attach a sweep step's grid point to a blow-up raised in the block."""
+    try:
+        yield
+    except NumericalBlowupError as exc:
+        exc.step, exc.time = step, time
+        exc.args = (f"step {step} (t={time:.6g}): {exc}",)
+        raise
 
 
-def _euler_step(p: ControlProblem, x, drift, eps, dt, rng, step, time):
+def _euler_step(p: ControlProblem, x, drift, eps, dt, rng):
     """One Euler-Maruyama step x + dt drift + sqrt(eps dt) sigma(x) dW of
-    a (d, M) block.  A non-finite result is reported against ``step``
-    and ``time``, those of the grid point the step starts from."""
+    a (d, M) block; a non-finite result names its first bad particle."""
     x_new = x + dt * drift
     if eps > 0.0:
         noise = rng.standard_normal((p.dim_b, x.shape[1]))
         x_new += np.sqrt(eps * dt) * np.einsum(
             "ijm,jm->im", map_columns(p.noise, x), noise)
-    _check_finite(x_new, step, time)
+    if not np.all(np.isfinite(x_new)):
+        bad = int(np.argwhere(~np.isfinite(x_new).all(axis=0))[0, 0])
+        raise NumericalBlowupError(f"non-finite particle {bad}", particle=bad)
     return x_new
 
 
 def _forward_step(p: ControlProblem, cfg: SolverConfig, e: Ensemble,
-                  bar: EmpiricalMoments, step: int, rng, residuals=None):
+                  bar: EmpiricalMoments, step: int, rng, op=None,
+                  residuals=None):
     """Advance the forward ensemble ``e`` (moments ``bar``) by one step.
 
-    Given a ``residuals`` list, a step that is not fully noisy takes the
-    grad-log group from a diffusion map on the ensemble instead of the
-    Gaussian closure, and appends the map's Sinkhorn residual.
+    Given the ensemble's diffusion map ``op``, a step that is not fully
+    noisy takes the grad-log group from it instead of the Gaussian
+    closure, and appends the map's Sinkhorn residual to ``residuals``.
     """
     x = e.particles
     eps = cfg.eps_noise_forward.at(step)
-    cxh = cross_cov(e, p.running_map)
-    mh, _ = map_moments(e, p.running_map)
-    if residuals is not None and eps < 1.0:
-        op = dmap.build_operator(x, p.sigma_sq, cfg.kernel_scale(),
-                                 tol=cfg.sinkhorn_tol,
-                                 max_iter=cfg.sinkhorn_max_iter)
-        residuals.append(max(op.row_residual, op.col_residual))
-        grad_log = np.column_stack([dmap.grad_log_estimate(op, x[:, i])
-                                    for i in range(x.shape[1])])
-        drift = enkf._forward_drift(p, x, grad_log, cxh, mh, eps)
-    else:
-        drift = enkf.forward_drift(p, x, bar, cxh, mh, eps)
-    return _euler_step(p, x, drift, eps, cfg.dt, rng, step, e.time)
+    with _located(step, e.time):
+        cxh = cross_cov(e, p.running_map)
+        mh, _ = map_moments(e, p.running_map)
+        if op is not None and eps < 1.0:
+            residuals.append(max(op.row_residual, op.col_residual))
+            drift = enkf._forward_drift(p, x, dmap.grad_log_estimate(op, x),
+                                        cxh, mh, eps)
+        else:
+            drift = enkf.forward_drift(p, x, bar, cxh, mh, eps)
+        return _euler_step(p, x, drift, eps, cfg.dt, rng)
 
 
 def forward_sweep(p: ControlProblem, cfg: SolverConfig, rng):
     """Integrate the forward mean-field SDE from x0 over [0, T].
 
-    Returns ``(record, ensemble_at_T)``.  With the ``dmap_enkf``
-    backend the record retains the raw forward ensembles needed by the
-    split-step reverse sweep; otherwise only moments are stored.
+    Returns ``(record, ensemble_at_T)``.  With ``dmap_enkf`` the record
+    keeps the raw forward ensembles and the diffusion maps of those
+    before T for the split-step reverse sweep, else only moments.
     """
     n = cfg.n_steps(p.horizon)
     d = p.dim_x
@@ -199,10 +203,8 @@ def forward_sweep(p: ControlProblem, cfg: SolverConfig, rng):
     record = SweepRecord(times=times,
                          bar_means=np.zeros((n + 1, d)),
                          bar_covs=np.zeros((n + 1, d, d)))
-    residuals = None
     if cfg.backend == "dmap_enkf":
-        record.forward_ensembles = []
-        residuals = record.sinkhorn_residuals
+        record.forward_ensembles, record.forward_operators = [], []
 
     x = _init_particles(p, cfg, rng)
     for step in range(n + 1):
@@ -210,11 +212,18 @@ def forward_sweep(p: ControlProblem, cfg: SolverConfig, rng):
         bar = moments(e, cfg.inflation)
         record.bar_means[step] = bar.mean
         record.bar_covs[step] = bar.cov
-        if residuals is not None:
+        if record.forward_ensembles is not None:
             record.forward_ensembles.append(x.copy())
         if step == n:
             break
-        x = _forward_step(p, cfg, e, bar, step, rng, residuals)
+        op = None
+        if record.forward_operators is not None:
+            op = dmap.build_operator(
+                record.forward_ensembles[step], p.sigma_sq,
+                cfg.kernel_scale(), cfg.sinkhorn_tol, cfg.sinkhorn_max_iter)
+            record.forward_operators.append(op)
+        x = _forward_step(p, cfg, e, bar, step, rng, op,
+                          record.sinkhorn_residuals)
     return record, Ensemble(particles=x, time=p.horizon)
 
 
@@ -234,45 +243,38 @@ def _reverse_sweep(p: ControlProblem, cfg: SolverConfig, record: SweepRecord,
 
     x = terminal.particles.copy()
     for back, step in enumerate(range(n, -1, -1)):
-        time = record.times[step]
-        tilde = moments(Ensemble(particles=x, time=time), cfg.inflation)
-        bar = EmpiricalMoments(mean=record.bar_means[step],
-                               cov=record.bar_covs[step])
-        gain = enkf.gain_from_moments(bar, tilde)
-        record.tilde_means[step] = tilde.mean
-        record.tilde_covs[step] = tilde.cov
-        record.gains[step] = gain.A
-        record.shifts[step] = gain.c
-        if step == 0:
-            break
-
-        eps = cfg.eps_noise_reverse.at(back)
-        if split:
-            drift = enkf._reverse_drift(p, x, None, tilde, eps,
-                                        enkf.g_tilde_kf(p, x, tilde, gain))
-        else:
-            drift = enkf.reverse_drift(p, x, bar, tilde, gain, eps)
-        x = _euler_step(p, x, drift, eps, cfg.dt, rng, step, time)
-        if split:
-            x = _project(p, cfg, record, step - 1, x)
+        with _located(step, record.times[step]):
+            tilde = moments(Ensemble(particles=x), cfg.inflation)
+            bar = EmpiricalMoments(mean=record.bar_means[step],
+                                   cov=record.bar_covs[step])
+            gain = enkf.gain_from_moments(bar, tilde)
+            record.tilde_means[step] = tilde.mean
+            record.tilde_covs[step] = tilde.cov
+            record.gains[step] = gain.A
+            record.shifts[step] = gain.c
+            if step == 0:
+                break
+            eps = cfg.eps_noise_reverse.at(back)
+            if split:
+                drift = enkf._reverse_drift(p, x, None, tilde, eps,
+                                            enkf.g_tilde_kf(p, x, tilde, gain))
+            else:
+                drift = enkf.reverse_drift(p, x, bar, tilde, gain, eps)
+            x = _euler_step(p, x, drift, eps, cfg.dt, rng)
+            if split:
+                x = _project(record, step - 1, x)
+    record.forward_operators = None
     return record
 
 
-def _project(p: ControlProblem, cfg: SolverConfig, record: SweepRecord,
-             step: int, x):
-    """Diffusion-map projection of ``x`` onto the forward ensemble at
-    ``step``; the result lies in the convex hull of that ensemble."""
-    op = dmap.build_operator(record.forward_ensembles[step], p.sigma_sq,
-                             cfg.kernel_scale(), tol=cfg.sinkhorn_tol,
-                             max_iter=cfg.sinkhorn_max_iter)
+def _project(record: SweepRecord, step: int, x):
+    """Project ``x`` into the hull of the forward ensemble at ``step``."""
+    op = record.forward_operators[step]
     record.sinkhorn_residuals.append(max(op.row_residual, op.col_residual))
-    projected = np.zeros_like(x)
-    for i in range(x.shape[1]):
-        w = dmap.membership_weights(op, x[:, i])
-        record.hull_min_weight.append(float(w.min()))
-        record.hull_sum_deviation.append(abs(float(w.sum()) - 1.0))
-        projected[:, i] = op.anchors @ w
-    return projected
+    w = dmap.membership_weights(op, x)
+    record.hull_min_weight.extend(w.min(axis=0).tolist())
+    record.hull_sum_deviation.extend(np.abs(w.sum(axis=0) - 1.0).tolist())
+    return dmap.combine(op, w)
 
 
 def reverse_sweep_enkf(p: ControlProblem, cfg: SolverConfig,
@@ -289,9 +291,9 @@ def reverse_sweep_splitstep(p: ControlProblem, cfg: SolverConfig,
     """Split-step reverse sweep: a drift/noise half step followed by a
     diffusion-map projection onto the forward ensemble of the target
     grid point, which keeps every reverse particle inside the convex
-    hull of the forward anchors."""
-    if record.forward_ensembles is None:
-        raise DimensionError("split-step sweep needs stored forward ensembles")
+    hull of the forward anchors; the record then drops the forward maps."""
+    if record.forward_operators is None:
+        raise DimensionError("split-step sweep needs forward diffusion maps")
     return _reverse_sweep(p, cfg, record, terminal, rng, split=True)
 
 

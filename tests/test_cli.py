@@ -101,6 +101,16 @@ def test_singular_covariance_is_numerical_failure(tmp_path, capsys):
     assert "not positive definite" in capsys.readouterr().err
 
 
+def test_singular_covariance_message_names_step(tmp_path, capsys):
+    cfg = tmp_path / "flat.ini"
+    cfg.write_text("[run]\nscenario = pendulum\n"
+                   "[solver]\ninflation = 0\nensemble_size = 2\n")
+    assert run_cli("solve", "--config", str(cfg),
+                   "--out", str(tmp_path)) == EXIT_NUMERICAL
+    assert "numerical failure: step 0 (t=0): covariance is not positive " \
+        "definite" in capsys.readouterr().err
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[run]\nscenario = lq\n[solver]\nensemble_size = 8\n")

@@ -1,8 +1,12 @@
 """Tests for the diffusion-map semigroup approximation and Sinkhorn
 normalisation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mkvcontrol import (ConvergenceError, build_kernel, build_operator,
                         grad_log_estimate, membership_weights,
@@ -139,11 +143,66 @@ def test_semigroup_gaussian_anchor_oracle():
 
 
 def test_state_dependent_sigma_used_out_of_sample():
-    # a non-constant Sigma map must be evaluated at the query point
+    # a non-constant Sigma map must be evaluated at the query point:
+    # freezing it at the query changes nothing, freezing it elsewhere does
     sigma_fn = lambda x: np.array([[1.0 + x[0] ** 2]])
     anchors = np.array([[0.0, 1.0, 2.0]])
     op = build_operator(anchors, sigma_fn, 0.5)
-    w_default = membership_weights(op, np.array([2.0]))
-    w_forced = membership_weights(op, np.array([2.0]),
-                                  sigma_x=sigma_fn(np.array([2.0])))
-    assert np.allclose(w_default, w_forced)
+    x = np.array([2.0])
+    at_query = dataclasses.replace(op, sigma_fn=lambda _: sigma_fn(x))
+    at_anchor = dataclasses.replace(
+        op, sigma_fn=lambda _: sigma_fn(anchors[:, 0]))
+    w = membership_weights(op, x)
+    assert np.allclose(w, membership_weights(at_query, x))
+    assert not np.allclose(w, membership_weights(at_anchor, x))
+
+
+# ---------------------------------------------------------------------------
+# block queries
+
+def _random_operator(seed, d, m, n_queries):
+    """Operator on random anchors with a state-dependent Sigma, plus a
+    (d, Q) block of queries, some of them far outside the anchors."""
+    rng = np.random.default_rng(seed)
+    sigma_fn = lambda x: (1.0 + 0.1 * float(x @ x)) * np.eye(d) + 0.05
+    op = build_operator(rng.standard_normal((d, m)), sigma_fn,
+                        rng.uniform(0.05, 1.0))
+    return op, rng.standard_normal((d, n_queries)) * rng.uniform(0.5, 5.0)
+
+
+operator_cases = st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 2),
+                           st.integers(2, 12), st.integers(1, 7))
+
+
+@settings(max_examples=40, deadline=None)
+@given(operator_cases)
+def test_block_query_equals_its_columns(case):
+    op, x = _random_operator(*case)
+    w = membership_weights(op, x)
+    g = grad_log_estimate(op, x)
+    assert w.shape == (op.size, x.shape[1]) and g.shape == x.shape
+    for i in range(x.shape[1]):
+        assert w[:, i].tobytes() == membership_weights(op, x[:, i]).tobytes()
+        assert g[:, i].tobytes() == grad_log_estimate(op, x[:, i]).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(operator_cases, st.randoms(use_true_random=False))
+def test_block_query_permutation_equivariance(case, random):
+    op, x = _random_operator(*case)
+    perm = list(range(x.shape[1]))
+    random.shuffle(perm)
+    w = membership_weights(op, x)
+    assert membership_weights(op, x[:, perm]).tobytes() == \
+        np.ascontiguousarray(w[:, perm]).tobytes()
+    assert semigroup_apply(op, x[:, perm]).tobytes() == \
+        np.ascontiguousarray(semigroup_apply(op, x)[:, perm]).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(operator_cases)
+def test_block_weights_are_convex(case):
+    op, x = _random_operator(*case)
+    w = membership_weights(op, x)
+    assert np.all(w >= 0.0)
+    assert np.abs(w.sum(axis=0) - 1.0).max() <= 1e-12

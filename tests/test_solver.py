@@ -5,9 +5,10 @@ import pytest
 
 from mkvcontrol import (AffineControlSchedule, ControlProblem,
                         DimensionError, EmpiricalMoments, NoiseSchedule,
-                        SolverConfig, estimate_cost, gain_from_moments,
-                        get_scenario, simulate_controlled, solve)
-from mkvcontrol.solver import forward_sweep
+                        NumericalBlowupError, SolverConfig, dmap,
+                        estimate_cost, gain_from_moments, get_scenario,
+                        simulate_controlled, solve)
+from mkvcontrol.solver import forward_sweep, reverse_sweep_splitstep
 
 
 def brownian_problem():
@@ -205,3 +206,42 @@ def test_controlled_cost_beats_zero_control():
     j_zero, e_zero = estimate_cost(p, zero, n_paths=60,
                                    rng=np.random.default_rng(21))
     assert j_ctrl + 2 * (e_ctrl + e_zero) < j_zero
+
+
+def test_dmap_solve_builds_each_forward_operator_once(monkeypatch):
+    # one diffusion map per forward grid point before T serves both the
+    # forward step and the reverse projection onto that ensemble
+    sc = get_scenario("langevin")
+    p = sc.make_problem()
+    p.horizon = 0.2
+    cfg = sc.default_config()
+    n = cfg.n_steps(p.horizon)
+    built = []
+    original = dmap.build_operator
+
+    def counting(*args, **kwargs):
+        built.append(original(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(dmap, "build_operator", counting)
+    _, record = solve(p, cfg)
+    assert len(built) == n
+    assert all(op.anchors is ens for op, ens in
+               zip(built, record.forward_ensembles[:-1]))
+    noisy = cfg.eps_noise_forward.n_first
+    assert len(record.sinkhorn_residuals) == (n - noisy) + n
+    assert record.forward_operators is None
+    with pytest.raises(DimensionError):
+        reverse_sweep_splitstep(p, cfg, record, None, None)
+
+
+def test_singular_covariance_blowup_reports_step_and_time():
+    # two uninflated particles at the same start: the first forward
+    # drift cannot factor their zero covariance
+    p = get_scenario("pendulum").make_problem()
+    cfg = get_scenario("pendulum").default_config()
+    cfg.inflation, cfg.ensemble_size = 0.0, 2
+    with pytest.raises(NumericalBlowupError) as info:
+        solve(p, cfg)
+    assert (info.value.step, info.value.time) == (0, 0.0)
+    assert str(info.value).startswith("step 0 (t=0):")
