@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, FullRankViolationError
-from .stats import map_columns
+from .stats import map_columns, matvec_columns
 
 DEFAULT_SINKHORN_TOL = 1e-8
 DEFAULT_SINKHORN_MAX_ITER = 10_000
@@ -111,7 +111,7 @@ def build_operator(anchors, sigma_fn, eps_dm, tol=DEFAULT_SINKHORN_TOL,
 def membership_weights(op: DiffusionMapOperator, x):
     """Probability vectors p(x) = D(v) r(x) / (v^T r(x)): one column of
     the (M, Q) result per query point, or an (M,) vector for one point.
-    Entries are nonnegative and sum to one, so ``combine(op, p)`` lies in
+    Entries are nonnegative and sum to one, so ``anchors @ p`` lies in
     the convex hull of the anchors.  Sigma is evaluated at each point."""
     block = np.asarray(x, dtype=float).reshape(len(x), -1)
     sigma_x = np.moveaxis(map_columns(op.sigma_fn, block), -1, 0)
@@ -127,14 +127,9 @@ def membership_weights(op: DiffusionMapOperator, x):
     return w if np.ndim(x) == 2 else w[:, 0]
 
 
-def combine(op: DiffusionMapOperator, w):
-    """op.anchors @ w by columns, bitwise what one query's product gives."""
-    return np.matmul(op.anchors, w.T[..., None])[..., 0].T
-
-
 def semigroup_apply(op: DiffusionMapOperator, x):
     """Approximate semigroup action on the identity map at x."""
-    return combine(op, membership_weights(op, x))
+    return matvec_columns(op.anchors, membership_weights(op, x))
 
 
 def grad_log_estimate(op: DiffusionMapOperator, x):

@@ -121,7 +121,7 @@ def stationary_solve(p: ControlProblem, hcfg: HorizonConfig):
             drift = enkf._reverse_drift(
                 p, y, bar, tilde, eps,
                 g_tilde_kf_discounted(p, y, tilde, gain, hcfg.gamma))
-            y = _euler_step(p, y, drift, eps, dt, rev_rng)
+            y = _euler_step(p, y, drift, eps, dt, rev_rng.standard_normal)
     else:
         raise ConvergenceError(
             f"reverse sweep did not equilibrate within max_time "

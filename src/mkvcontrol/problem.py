@@ -10,6 +10,10 @@ terminal cost (1/2) xi(x)^T V^-1 xi(x), the control penalty weight R,
 the horizon T and the start point x0.  Feedback laws are affine,
 u_t(x) = R G(x)^T (A_t x + c_t), and are stored on a time grid by
 :class:`AffineControlSchedule`.
+
+The model maps take one state.  The cost and control functions take one
+state, or a (dim_x, P) block of states, for which they return one value
+per column, bitwise what the one-state call gives.
 """
 
 from dataclasses import dataclass, field
@@ -19,6 +23,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DimensionError, TimeOutOfRangeError
+from .stats import map_columns, matvec_columns
 
 Vector = np.ndarray
 Matrix = np.ndarray
@@ -133,10 +138,13 @@ class ControlProblem:
         return self._v_sqrt
 
     def check_state(self, x):
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.shape != (self.dim_x,):
+        """``x`` as a (dim_x,) state, or as a (dim_x, P) block when 2-D."""
+        x = np.asarray(x, dtype=float)
+        x = x if x.ndim == 2 else x.reshape(-1)
+        if x.shape[0] != self.dim_x:
             raise DimensionError(
-                f"state has shape {x.shape}, expected ({self.dim_x},)")
+                f"state has shape {x.shape}, expected ({self.dim_x},)"
+                f" or ({self.dim_x}, P)")
         return x
 
 
@@ -186,32 +194,55 @@ class AffineControlSchedule:
         return self.gains[idx], self.shifts[idx]
 
 
-def running_cost(p: ControlProblem, x) -> float:
+def _half_quad(solve, v, one):
+    """(1/2) v^T W^-1 v per column of the (k, P) block ``v``, given
+    ``solve`` = W^-1; a float for ``one`` state.  Contiguous vectors
+    make each column round as one state's vector does."""
+    rows = np.ascontiguousarray(v.T)
+    q = 0.5 * matvec_columns(rows[:, None, :], solve(rows.T))[0]
+    return float(q[0]) if one else q
+
+
+def _state_cost(p, f, solve, x, name, dim):
+    """(1/2) f(x)^T W^-1 f(x) at a state or at each column of a block."""
+    x = p.check_state(x)
+    v = map_columns(f, x.reshape(p.dim_x, -1))
+    v = v.reshape(-1, v.shape[-1])
+    if v.shape[0] != dim:
+        raise DimensionError(
+            f"{name}(x) has shape ({v.shape[0]},), expected ({dim},)")
+    return _half_quad(solve, v, x.ndim == 1)
+
+
+def gain_stack(p: ControlProblem, x):
+    """G at each column of the (d, P) block ``x``, as a C-ordered
+    (P, d, u) stack: the layout one state's G has."""
+    return np.ascontiguousarray(map_columns(p.gain, x).transpose(2, 0, 1))
+
+
+def running_cost(p: ControlProblem, x):
     """Running cost c(x) = (1/2) h(x)^T S^-1 h(x); always >= 0."""
-    x = p.check_state(x)
-    h = np.asarray(p.running_map(x), dtype=float).reshape(-1)
-    if h.shape != (p.dim_h,):
-        raise DimensionError(f"h(x) has shape {h.shape}, expected ({p.dim_h},)")
-    return 0.5 * float(h @ p.solve_s(h))
+    return _state_cost(p, p.running_map, p.solve_s, x, "h", p.dim_h)
 
 
-def terminal_cost(p: ControlProblem, x) -> float:
+def terminal_cost(p: ControlProblem, x):
     """Terminal cost f(x) = (1/2) xi(x)^T V^-1 xi(x); always >= 0."""
-    x = p.check_state(x)
-    xi = np.asarray(p.terminal_map(x), dtype=float).reshape(-1)
-    if xi.shape != (p.dim_xi,):
-        raise DimensionError(f"xi(x) has shape {xi.shape}, expected ({p.dim_xi},)")
-    return 0.5 * float(xi @ p.solve_v(xi))
+    return _state_cost(p, p.terminal_map, p.solve_v, x, "xi", p.dim_xi)
 
 
-def control_cost(p: ControlProblem, u) -> float:
+def control_cost(p: ControlProblem, u):
     """Control penalty (1/2) u^T R^-1 u."""
-    u = np.asarray(u, dtype=float).reshape(-1)
-    return 0.5 * float(u @ p.solve_r(u))
+    u = np.asarray(u, dtype=float)
+    one = u.ndim != 2
+    return _half_quad(p.solve_r, u.reshape(-1, 1) if one else u, one)
 
 
 def apply_control(p: ControlProblem, sched: AffineControlSchedule, t, x):
     """Evaluate u_t(x) = R G(x)^T (A_t x + c_t)."""
     x = p.check_state(x)
+    block = x.reshape(p.dim_x, -1)
     A, c = sched.at(t)
-    return p.control_weight @ (np.asarray(p.gain(x)).T @ (A @ x + c))
+    v = matvec_columns(A, block) + c[:, None]
+    gt = gain_stack(p, block).transpose(0, 2, 1)
+    u = matvec_columns(p.control_weight, matvec_columns(gt, v))
+    return u if x.ndim == 2 else u[:, 0]

@@ -14,7 +14,8 @@ queried in blocks, which projects reverse particles into its hull).
 Each step is written once and acts on the whole (d, M) particle
 block: ``_forward_step`` and ``_reverse_sweep`` call their drift once
 per step and share ``_euler_step``, which names the first non-finite
-particle.  ``horizon.stationary_solve`` reuses them.
+particle.  ``horizon.stationary_solve`` reuses them, and
+``simulate_controlled`` steps its block of paths with ``_euler_step``.
 """
 
 import contextlib
@@ -26,9 +27,9 @@ import numpy as np
 from . import dmap, enkf
 from .errors import DimensionError, NumericalBlowupError
 from .problem import (AffineControlSchedule, ControlProblem, apply_control,
-                      control_cost, running_cost, terminal_cost)
+                      control_cost, gain_stack, running_cost, terminal_cost)
 from .stats import (Ensemble, EmpiricalMoments, cross_cov, map_columns,
-                    map_moments, moments)
+                    map_moments, matvec_columns, moments)
 
 BACKENDS = ("enkf", "dmap_enkf")
 
@@ -117,8 +118,10 @@ class SweepRecord:
     hull_sum_deviation: List[float] = field(default_factory=list)
 
     def thinned(self, stride: int):
-        """Copy with per-grid-point arrays thinned to every ``stride``-th
-        entry (the final entry always kept)."""
+        """Copy with per-grid-point arrays and forward ensembles thinned to
+        every ``stride``-th entry (the final entry always kept).  The
+        Sinkhorn residuals and hull certificates are kept whole: they are
+        per use of a diffusion map, not per grid point."""
         idx = np.arange(len(self.times))
         keep = (idx % stride == 0) | (idx == len(self.times) - 1)
         out = SweepRecord(times=self.times[keep])
@@ -127,6 +130,9 @@ class SweepRecord:
             arr = getattr(self, name)
             if arr is not None:
                 setattr(out, name, arr[keep])
+        if self.forward_ensembles is not None:
+            out.forward_ensembles = [e for e, k in
+                                     zip(self.forward_ensembles, keep) if k]
         out.sinkhorn_residuals = list(self.sinkhorn_residuals)
         out.hull_min_weight = list(self.hull_min_weight)
         out.hull_sum_deviation = list(self.hull_sum_deviation)
@@ -153,12 +159,13 @@ def _located(step, time):
         raise
 
 
-def _euler_step(p: ControlProblem, x, drift, eps, dt, rng):
+def _euler_step(p: ControlProblem, x, drift, eps, dt, normal):
     """One Euler-Maruyama step x + dt drift + sqrt(eps dt) sigma(x) dW of
-    a (d, M) block; a non-finite result names its first bad particle."""
+    a (d, M) block, with dW from ``normal((dim_b, M))`` when eps > 0; a
+    non-finite result names its first bad particle."""
     x_new = x + dt * drift
     if eps > 0.0:
-        noise = rng.standard_normal((p.dim_b, x.shape[1]))
+        noise = normal((p.dim_b, x.shape[1]))
         x_new += np.sqrt(eps * dt) * np.einsum(
             "ijm,jm->im", map_columns(p.noise, x), noise)
     if not np.all(np.isfinite(x_new)):
@@ -187,7 +194,7 @@ def _forward_step(p: ControlProblem, cfg: SolverConfig, e: Ensemble,
                                         cxh, mh, eps)
         else:
             drift = enkf.forward_drift(p, x, bar, cxh, mh, eps)
-        return _euler_step(p, x, drift, eps, cfg.dt, rng)
+        return _euler_step(p, x, drift, eps, cfg.dt, rng.standard_normal)
 
 
 def forward_sweep(p: ControlProblem, cfg: SolverConfig, rng):
@@ -260,7 +267,7 @@ def _reverse_sweep(p: ControlProblem, cfg: SolverConfig, record: SweepRecord,
                                             enkf.g_tilde_kf(p, x, tilde, gain))
             else:
                 drift = enkf.reverse_drift(p, x, bar, tilde, gain, eps)
-            x = _euler_step(p, x, drift, eps, cfg.dt, rng)
+            x = _euler_step(p, x, drift, eps, cfg.dt, rng.standard_normal)
             if split:
                 x = _project(record, step - 1, x)
     record.forward_operators = None
@@ -274,7 +281,7 @@ def _project(record: SweepRecord, step: int, x):
     w = dmap.membership_weights(op, x)
     record.hull_min_weight.extend(w.min(axis=0).tolist())
     record.hull_sum_deviation.extend(np.abs(w.sum(axis=0) - 1.0).tolist())
-    return dmap.combine(op, w)
+    return matvec_columns(op.anchors, w)
 
 
 def reverse_sweep_enkf(p: ControlProblem, cfg: SolverConfig,
@@ -330,40 +337,42 @@ def simulate_controlled(p: ControlProblem, sched: AffineControlSchedule,
 
     ``rho`` scales the diffusion (0 gives a deterministic run).
     Returns ``(times, states, controls)`` with shapes (N+1,),
-    (n_paths, N+1, d_x) and (n_paths, N+1, d_u).  Paths use independent
-    spawned RNG streams, so results do not depend on evaluation order.
+    (n_paths, N+1, d_x) and (n_paths, N+1, d_u).  All paths step as one
+    (d_x, n_paths) block through ``_euler_step`` at noise level rho^2.
+    Each path draws its normals in bulk from its own spawned stream, so
+    results do not depend on evaluation order.  A blow-up names the
+    earliest bad step and, as ``particle``, the lowest bad path there.
     """
+    if n_paths < 1:
+        raise DimensionError("n_paths must be at least 1")
+    if not (np.isfinite(rho) and rho >= 0):
+        raise DimensionError("rho must be nonnegative and finite")
+    start = p.start if x0 is None else p.check_state(np.ravel(x0))
     if rng is None:
         rng = np.random.default_rng(0)
     times = sched.times
     n = len(times) - 1
     states = np.zeros((n_paths, n + 1, p.dim_x))
     controls = np.zeros((n_paths, n + 1, p.dim_u))
-    start = p.start if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
-    path_rngs = [np.random.default_rng(s)
-                 for s in rng.bit_generator.seed_seq.spawn(n_paths)]
+    normals = None
+    if rho != 0.0:
+        normals = np.stack([np.random.default_rng(s).standard_normal(
+            (n, p.dim_b)) for s in rng.bit_generator.seed_seq.spawn(n_paths)],
+            axis=-1)
 
-    for k in range(n_paths):
-        prng = path_rngs[k]
-        x = start.copy()
-        for step in range(n + 1):
+    x = np.tile(start[:, None], (1, n_paths))
+    for step in range(n + 1):
+        with _located(step, times[step]):
             u = apply_control(p, sched, times[step], x)
-            states[k, step] = x
-            controls[k, step] = u
+            states[:, step] = x.T
+            controls[:, step] = u.T
             if step == n:
                 break
-            dt = times[step + 1] - times[step]
-            x_new = x + dt * (np.asarray(p.drift(x), dtype=float)
-                              + np.asarray(p.gain(x), dtype=float) @ u)
-            if rho != 0.0:
-                xi = prng.standard_normal(p.dim_b)
-                x_new = x_new + rho * np.sqrt(dt) * (
-                    np.asarray(p.noise(x), dtype=float) @ xi)
-            x = x_new
-            if not np.all(np.isfinite(x)):
-                raise NumericalBlowupError(
-                    f"controlled path {k} blew up at step {step}",
-                    step=step, time=times[step], particle=k)
+            drift = (map_columns(p.drift, x)
+                     + matvec_columns(gain_stack(p, x), u))
+            x = _euler_step(p, x, drift, rho ** 2,
+                            times[step + 1] - times[step],
+                            lambda shape: normals[step])
     return times, states, controls
 
 
@@ -372,21 +381,16 @@ def estimate_cost(p: ControlProblem, sched: AffineControlSchedule,
     """Monte-Carlo estimate of the expected cost under the schedule.
 
     Left-endpoint rectangle rule on the schedule grid, consistent with
-    the Euler-Maruyama stepping.  Returns ``(mean, standard_error)``.
+    the Euler-Maruyama stepping, summed over all paths step by step.
+    Returns ``(mean, standard_error)``.
     """
-    if n_paths < 1:
-        raise DimensionError("n_paths must be at least 1")
     times, states, controls = simulate_controlled(
         p, sched, rho=rho, n_paths=n_paths, rng=rng)
-    dts = np.diff(times)
     costs = np.zeros(n_paths)
-    for k in range(n_paths):
-        acc = 0.0
-        for step in range(len(dts)):
-            acc += dts[step] * (running_cost(p, states[k, step])
-                                + control_cost(p, controls[k, step]))
-        acc += terminal_cost(p, states[k, -1])
-        costs[k] = acc
+    for step, dt in enumerate(np.diff(times)):
+        costs += dt * (running_cost(p, states[:, step].T)
+                       + control_cost(p, controls[:, step].T))
+    costs += terminal_cost(p, states[:, -1].T)
     mean = float(costs.mean())
     stderr = float(costs.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
     return mean, stderr

@@ -25,6 +25,13 @@ def map_columns(f, x):
                      for i in range(x.shape[1])], axis=-1)
 
 
+def matvec_columns(m, v):
+    """``m`` times each column of the (c, P) block ``v``, for one (r, c)
+    matrix or a (P, r, c) stack.  These stacked products round as one
+    column's product of the same layout does; ``m @ v`` does not."""
+    return np.matmul(m, v.T[..., None])[..., 0].T
+
+
 def block_or_state(fn):
     """Let ``fn(p, x, ...)``, written for a (d, M) block ``x``, also take
     a single (d,) state, for which it returns a (d,) result."""

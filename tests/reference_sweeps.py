@@ -1,9 +1,11 @@
-"""Per-particle reference of the sweep loops, for equivalence tests.
+"""Per-particle reference of the sweep and path loops, for equivalence
+tests.
 
 This is the loop-per-particle formulation the block engine in
-``mkvcontrol.solver`` replaced: every drift term is evaluated one state
-at a time.  It is kept here, outside the package, only so that tests
-can check that the block engine reproduces it.
+``mkvcontrol.solver`` replaced: every drift term, control and cost is
+evaluated one state at a time, and controlled paths are stepped one
+path at a time.  It is kept here, outside the package, only so that
+tests can check that the block engine reproduces it.
 """
 
 import numpy as np
@@ -181,3 +183,69 @@ def stationary_solve(p, hcfg):
 def _residual(prev, cur):
     return (np.abs(cur.mean - prev.mean).max()
             + np.abs(cur.cov - prev.cov).max())
+
+
+# ---------------------------------------------------------------------------
+# controlled paths and their cost, one path and one state at a time
+
+
+def apply_control(p, sched, t, x):
+    A, c = sched.at(t)
+    return p.control_weight @ (np.asarray(p.gain(x)).T @ (A @ x + c))
+
+
+def running_cost(p, x):
+    h = _f(p.running_map(x)).reshape(-1)
+    return 0.5 * float(h @ p.solve_s(h))
+
+
+def terminal_cost(p, x):
+    xi = _f(p.terminal_map(x)).reshape(-1)
+    return 0.5 * float(xi @ p.solve_v(xi))
+
+
+def control_cost(p, u):
+    u = _f(u).reshape(-1)
+    return 0.5 * float(u @ p.solve_r(u))
+
+
+def simulate_controlled(p, sched, rho, n_paths, rng):
+    """Euler-Maruyama paths under the feedback law, stepped one path at
+    a time with one normal draw per step from the path's own stream."""
+    times = sched.times
+    n = len(times) - 1
+    states = np.zeros((n_paths, n + 1, p.dim_x))
+    controls = np.zeros((n_paths, n + 1, p.dim_u))
+    path_rngs = [np.random.default_rng(s)
+                 for s in rng.bit_generator.seed_seq.spawn(n_paths)]
+    for k in range(n_paths):
+        x = p.start.copy()
+        for step in range(n + 1):
+            u = apply_control(p, sched, times[step], x)
+            states[k, step] = x
+            controls[k, step] = u
+            if step == n:
+                break
+            dt = times[step + 1] - times[step]
+            x_new = x + dt * (_f(p.drift(x)) + _f(p.gain(x)) @ u)
+            if rho != 0.0:
+                xi = path_rngs[k].standard_normal(p.dim_b)
+                x_new = x_new + rho * np.sqrt(dt) * (_f(p.noise(x)) @ xi)
+            x = x_new
+    return times, states, controls
+
+
+def estimate_cost(p, sched, rho, n_paths, rng):
+    """Mean and standard error of the left-endpoint path costs."""
+    times, states, controls = simulate_controlled(p, sched, rho, n_paths, rng)
+    dts = np.diff(times)
+    costs = np.zeros(n_paths)
+    for k in range(n_paths):
+        acc = 0.0
+        for step in range(len(dts)):
+            acc += dts[step] * (running_cost(p, states[k, step])
+                                + control_cost(p, controls[k, step]))
+        acc += terminal_cost(p, states[k, -1])
+        costs[k] = acc
+    stderr = costs.std(ddof=1) / np.sqrt(n_paths) if n_paths > 1 else 0.0
+    return float(costs.mean()), float(stderr)

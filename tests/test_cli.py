@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from mkvcontrol import NoiseSchedule, Scenario, SolverConfig, scenarios
 from mkvcontrol.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, build_parser,
                             main, read_control_csv, resolve_run)
 
@@ -150,6 +151,43 @@ def test_cost_zero_control(tmp_path):
     j = float(text.splitlines()[0].split()[2])
     assert np.isfinite(j) and j > 0
     assert "n_paths = 10" in text
+
+
+def test_cost_nan_rho_is_config_error(tmp_path, capsys):
+    assert run_cli("cost", "--scenario", "lq", "--paths", "2",
+                   "--zero-control", "--rho", "nan",
+                   "--out", str(tmp_path)) == EXIT_CONFIG
+    assert "rho must be nonnegative and finite" in capsys.readouterr().err
+
+
+def test_simulate_negative_rho_is_config_error(tmp_path, capsys):
+    assert run_cli(*solve_args(tmp_path)) == EXIT_OK
+    assert run_cli("simulate", "--scenario", "lq", "--ensemble-size", "8",
+                   "--rho", "-1", "--out", str(tmp_path)) == EXIT_CONFIG
+    assert "rho must be nonnegative and finite" in capsys.readouterr().err
+
+
+def _explosive_problem():
+    # lq, which starts at x = 1, with dx = 10 x^3 dt: at dt = 0.05 the
+    # path overflows in step 8
+    p = scenarios.get_scenario("lq").make_problem()
+    p.drift = lambda x: 10.0 * x ** 3
+    return p
+
+
+def test_cost_blowup_is_numerical_failure_naming_step(tmp_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.setitem(scenarios.REGISTRY, "explosive", Scenario(
+        name="explosive", description="cubic blow-up",
+        make_problem=_explosive_problem,
+        default_config=lambda: SolverConfig(
+            dt=0.05, eps_noise_forward=NoiseSchedule.constant(0.0))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli("cost", "--scenario", "explosive", "--paths", "3",
+                       "--zero-control", "--rho", "0", "--out", str(tmp_path))
+    assert code == EXIT_NUMERICAL
+    assert "numerical failure: step 8 (t=0.4): non-finite particle 0" in \
+        capsys.readouterr().err
 
 
 def test_backend_flag_normalisation():

@@ -1,6 +1,9 @@
 """Tests of the block sweep engine: equivalence with the per-particle
-reference loops, block-versus-column properties of the drift terms, and
-the location carried by blow-up errors."""
+and per-path reference loops, block-versus-column properties of the
+drift, control and cost terms, and the location carried by blow-up
+errors."""
+
+import functools
 
 import numpy as np
 import pytest
@@ -8,11 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_sweeps as ref
-from mkvcontrol import (ControlProblem, Ensemble, HorizonConfig,
-                        NoiseSchedule, NumericalBlowupError, SolverConfig,
-                        forward_drift, g_bar_kf, g_tilde_kf,
+from mkvcontrol import (AffineControlSchedule, ControlProblem, Ensemble,
+                        HorizonConfig, NoiseSchedule, NumericalBlowupError,
+                        SolverConfig, apply_control, control_cost,
+                        estimate_cost, forward_drift, g_bar_kf, g_tilde_kf,
                         g_tilde_kf_discounted, gain_from_moments, get_scenario,
-                        moments, reverse_drift, solve, stationary_solve)
+                        moments, reverse_drift, running_cost,
+                        simulate_controlled, solve, stationary_solve,
+                        terminal_cost)
 from mkvcontrol.solver import forward_sweep, reverse_sweep_enkf
 
 # scenario -> (horizon, relative tolerance against the reference); the
@@ -185,6 +191,47 @@ def test_stationary_blowup_reports_location():
     assert (err.step, err.time, err.particle) == (4, 1.0, 0)
 
 
+def _explosive():
+    """dx = 10 x^3 dt + dB from x = 1: overflows within a few steps."""
+    return ControlProblem(
+        dim_x=1, dim_u=1, dim_b=1, dim_h=1, dim_xi=1,
+        drift=lambda x: 10.0 * x ** 3,
+        gain=lambda x: np.array([[1.0]]),
+        noise=lambda x: np.array([[1.0]]),
+        running_map=lambda x: np.zeros(1),
+        running_weight=np.array([[1.0]]),
+        terminal_map=lambda x: np.asarray(x, dtype=float),
+        terminal_weight=np.array([[1.0]]),
+        control_weight=np.array([[1.0]]),
+        horizon=1.0,
+        start=np.array([1.0]))
+
+
+def test_controlled_blowup_reports_step_time_and_path():
+    p = _explosive()
+    sched = AffineControlSchedule(times=np.arange(21) * 0.05,
+                                  gains=np.zeros((21, 1, 1)),
+                                  shifts=np.zeros((21, 1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalBlowupError) as info:
+            simulate_controlled(p, sched, rho=0.0, n_paths=3)
+        err = info.value
+        assert (err.step, err.time, err.particle) == (8, sched.times[8], 0)
+        assert str(err).startswith("step 8 (t=0.4): ")
+        # with noise, path 4 is the only one to overflow in step 7; the
+        # earlier paths, path 0 included, overflow in step 8
+        _, xs, _ = ref.simulate_controlled(p, sched, 1.0, 6,
+                                           np.random.default_rng(4))
+        first_bad = np.argmax(~np.isfinite(xs[:, 1:, 0]), axis=1)
+        assert first_bad.tolist() == [8, 8, 8, 8, 7, 8]
+        with pytest.raises(NumericalBlowupError) as info:
+            simulate_controlled(p, sched, rho=1.0, n_paths=6,
+                                rng=np.random.default_rng(4))
+    err = info.value
+    assert (err.step, err.time, err.particle) == (7, sched.times[7], 4)
+    assert str(err).startswith("step 7 (t=0.35): ")
+
+
 def test_reverse_blowup_reports_location():
     # the reverse drift is -b: NaN for the one terminal particle past 3
     p = _walker(3.0)
@@ -195,3 +242,102 @@ def test_reverse_blowup_reports_location():
         reverse_sweep_enkf(p, cfg, record, terminal, np.random.default_rng(0))
     err = info.value
     assert (err.step, err.time, err.particle) == (8, 2.0, 1)
+
+
+# ---------------------------------------------------------------------------
+# controlled paths against the per-path reference
+
+@functools.cache
+def _short_law(name):
+    horizon, _ = SHORT[name]
+    sc = get_scenario(name)
+    p = sc.make_problem()
+    p.horizon = horizon
+    sched, _ = solve(p, sc.default_config())
+    return p, sched
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.0, 0.3])
+@pytest.mark.parametrize("name", ["lq", "langevin", "pendulum"])
+def test_paths_and_cost_match_per_path_reference(name, rho):
+    # the block step scales the noise by sqrt(rho^2 dt), the reference by
+    # rho sqrt(dt): equal for rho in {0, 1}, within an ulp at rho = 0.3
+    p, sched = _short_law(name)
+    _, xs, us = simulate_controlled(p, sched, rho=rho, n_paths=5,
+                                    rng=np.random.default_rng(3))
+    _, want_xs, want_us = ref.simulate_controlled(
+        p, sched, rho, 5, np.random.default_rng(3))
+    cost = estimate_cost(p, sched, n_paths=5, rng=np.random.default_rng(3),
+                         rho=rho)
+    want_cost = ref.estimate_cost(p, sched, rho, 5, np.random.default_rng(3))
+    if rho in (0.0, 1.0):
+        assert xs.tobytes() == want_xs.tobytes()
+        assert us.tobytes() == want_us.tobytes()
+        assert cost == want_cost
+    else:
+        for got, want in ((xs, want_xs), (us, want_us), (cost, want_cost)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(2, 6), k=st.integers(1, 6), seed=st.integers(0, 2 ** 16))
+def test_first_paths_do_not_depend_on_path_count(n, k, seed):
+    p, sched = _short_law("pendulum")
+    k = min(k, n)
+    _, xs, us = simulate_controlled(p, sched, n_paths=n,
+                                    rng=np.random.default_rng(seed))
+    _, xk, uk = simulate_controlled(p, sched, n_paths=k,
+                                    rng=np.random.default_rng(seed))
+    assert xs[:k].tobytes() == xk.tobytes()
+    assert us[:k].tobytes() == uk.tobytes()
+
+
+def _wide_problem():
+    """d = 2 with two controls and five running-cost features, so that
+    every product in the control and cost terms sums several terms."""
+    return ControlProblem(
+        dim_x=2, dim_u=2, dim_b=2, dim_h=5, dim_xi=2,
+        drift=lambda x: np.array([x[1], -np.sin(x[0])]),
+        gain=lambda x: np.array([[1.0 + 0.3 * x[1], 0.2],
+                                 [np.cos(x[0]), 0.7 - 0.1 * x[0]]]),
+        noise=lambda x: np.eye(2),
+        running_map=lambda x: np.array([x[0], x[0] * x[1], np.sin(x[1]),
+                                        x[1] ** 2, np.cos(x[0] - x[1])]),
+        running_weight=np.eye(5) + 0.3 * np.ones((5, 5)),
+        terminal_map=lambda x: np.array([x[0] + x[1], x[0] - 2.0 * x[1]]),
+        terminal_weight=np.array([[0.6, 0.1], [0.1, 0.9]]),
+        control_weight=np.array([[1.3, 0.4], [0.4, 0.8]]),
+        horizon=1.0,
+        start=np.array([0.3, -0.2]))
+
+
+WIDE = _wide_problem()
+WIDE_SCHED = AffineControlSchedule(
+    times=[0.0, 1.0], gains=np.array([[[1.7, -0.6], [-0.6, 0.9]]] * 2),
+    shifts=np.array([[0.3, -1.1], [0.3, -1.1]]))
+
+STATE_TERMS = {
+    "apply_control": (lambda x: apply_control(WIDE, WIDE_SCHED, 0.5, x),
+                      lambda x: ref.apply_control(WIDE, WIDE_SCHED, 0.5, x)),
+    "running_cost": (lambda x: running_cost(WIDE, x),
+                     lambda x: ref.running_cost(WIDE, x)),
+    "terminal_cost": (lambda x: terminal_cost(WIDE, x),
+                      lambda x: ref.terminal_cost(WIDE, x)),
+    "control_cost": (lambda u: control_cost(WIDE, u),
+                     lambda u: ref.control_cost(WIDE, u)),
+}
+
+
+@pytest.mark.parametrize("name", list(STATE_TERMS))
+@settings(max_examples=25, deadline=None)
+@given(x=blocks)
+def test_block_control_and_costs_equal_one_state_calls(name, x):
+    f, oracle = STATE_TERMS[name]
+    block = np.asarray(f(x))
+    one = [f(x[:, i]) for i in range(x.shape[1])]
+    want = [oracle(x[:, i]) for i in range(x.shape[1])]
+    assert block.shape[-1] == x.shape[1]
+    columns = np.column_stack(one).reshape(block.shape)
+    assert block.tobytes() == columns.tobytes()
+    assert [type(v) for v in one] == [type(v) for v in want]
+    assert np.array(one).tobytes() == np.array(want).tobytes()

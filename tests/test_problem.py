@@ -162,6 +162,48 @@ def test_control_cost():
     assert control_cost(p, np.array([2.0])) == pytest.approx(1.0)
 
 
+def test_costs_and_control_take_a_block_of_states():
+    p = get_scenario("pendulum").make_problem()
+    sched = AffineControlSchedule(times=[0.0, 1.0],
+                                  gains=np.array([np.eye(2)] * 2),
+                                  shifts=np.ones((2, 2)))
+    x = np.array([[0.0, 0.1, np.pi], [1.0, 0.0, -0.5]])
+    assert running_cost(p, x).shape == terminal_cost(p, x).shape == (3,)
+    assert running_cost(p, x)[0] == pytest.approx(5.0)
+    assert terminal_cost(p, x)[1] == pytest.approx(5.0)
+    u = apply_control(p, sched, 0.5, x)
+    assert u.shape == (1, 3)
+    assert control_cost(p, u).shape == (3,)
+    assert isinstance(running_cost(p, x[:, 0]), float)
+    assert apply_control(p, sched, 0.5, x[:, 0]).shape == (1,)
+
+
+def test_cost_and_control_reject_states_of_the_wrong_size():
+    p = get_scenario("pendulum").make_problem()
+    sched = AffineControlSchedule(times=[0.0, 1.0],
+                                  gains=np.zeros((2, 2, 2)),
+                                  shifts=np.zeros((2, 2)))
+    for x in (np.zeros(3), np.zeros((3, 4)), np.zeros((1, 2))):
+        with pytest.raises(DimensionError):
+            running_cost(p, x)
+        with pytest.raises(DimensionError):
+            terminal_cost(p, x)
+        with pytest.raises(DimensionError):
+            apply_control(p, sched, 0.5, x)
+
+
+def test_cost_rejects_map_output_of_the_wrong_size():
+    # right at the start point, where the maps are probed, wrong elsewhere
+    p = scalar_problem(
+        running_map=lambda x: np.zeros(1 if x[0] == 0.0 else 2),
+        terminal_map=lambda x: np.zeros(1 if x[0] == 0.0 else 3))
+    for x in (np.array([1.0]), np.array([[1.0, 2.0]])):
+        with pytest.raises(DimensionError, match="h\\(x\\) has shape"):
+            running_cost(p, x)
+        with pytest.raises(DimensionError, match="xi\\(x\\) has shape"):
+            terminal_cost(p, x)
+
+
 def test_div_sigma_defaults_to_zero():
     p = scalar_problem()
     assert np.allclose(p.div_sigma(np.array([1.5])), 0.0)

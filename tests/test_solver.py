@@ -164,6 +164,24 @@ def test_simulate_deterministic_at_zero_rho():
     assert np.allclose(xs[0, -1], [np.pi, 0.0], atol=1e-12)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"n_paths": 0}, {"rho": np.nan}, {"rho": np.inf}, {"rho": -1.0},
+    {"x0": np.zeros(2)}])
+def test_simulate_rejects_bad_inputs_before_any_step(kwargs):
+    calls = []
+    p = brownian_problem()
+    p.drift = lambda x: calls.append(x) or np.zeros(1)
+    times = np.linspace(0.0, 1.0, 11)
+    sched = AffineControlSchedule(times=times, gains=np.zeros((11, 1, 1)),
+                                  shifts=np.zeros((11, 1)))
+    with pytest.raises(DimensionError):
+        simulate_controlled(p, sched, **kwargs)
+    if "x0" not in kwargs:
+        with pytest.raises(DimensionError):
+            estimate_cost(p, sched, **kwargs)
+    assert calls == []
+
+
 def test_estimate_cost_zero_problem():
     p = brownian_problem()
     times = np.linspace(0.0, 1.0, 6)
@@ -233,6 +251,25 @@ def test_dmap_solve_builds_each_forward_operator_once(monkeypatch):
     assert record.forward_operators is None
     with pytest.raises(DimensionError):
         reverse_sweep_splitstep(p, cfg, record, None, None)
+
+
+def test_thinned_dmap_record_keeps_its_ensembles():
+    # record_every thins the forward ensembles with the grid points; the
+    # Sinkhorn residuals and hull certificates are per use, so stay whole
+    sc = get_scenario("langevin")
+    p = sc.make_problem()
+    p.horizon = 0.2
+    cfg = sc.default_config()
+    _, full = solve(p, cfg)
+    cfg.record_every = 2
+    _, rec = solve(p, cfg)
+    assert len(rec.times) == len(rec.forward_ensembles) == 11
+    for kept, step in zip(rec.forward_ensembles, range(0, 21, 2)):
+        assert kept.tobytes() == full.forward_ensembles[step].tobytes()
+    assert len(rec.sinkhorn_residuals) == 30
+    assert rec.sinkhorn_residuals == full.sinkhorn_residuals
+    assert rec.hull_min_weight == full.hull_min_weight
+    assert rec.hull_sum_deviation == full.hull_sum_deviation
 
 
 def test_singular_covariance_blowup_reports_step_and_time():
