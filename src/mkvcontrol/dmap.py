@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, FullRankViolationError
-from .stats import map_columns, matvec_columns
+from .stats import map_block, matvec_columns
 
 DEFAULT_SINKHORN_TOL = 1e-8
 DEFAULT_SINKHORN_MAX_ITER = 10_000
@@ -37,6 +37,7 @@ class DiffusionMapOperator:
     bandwidth: float
     scaling: np.ndarray            # (M,), strictly positive
     sigma_fn: Callable             # Sigma(x) for out-of-sample points
+    block_sigma: bool = False      # sigma_fn takes a (d, Q) block
     row_residual: float = 0.0      # max |row sum of P - 1/M| at convergence
     col_residual: float = 0.0
 
@@ -92,11 +93,15 @@ def sinkhorn(kernel, tol=DEFAULT_SINKHORN_TOL,
 
 
 def build_operator(anchors, sigma_fn, eps_dm, tol=DEFAULT_SINKHORN_TOL,
-                   max_iter=DEFAULT_SINKHORN_MAX_ITER) -> DiffusionMapOperator:
-    """Build the normalised operator from an anchor ensemble and Sigma."""
+                   max_iter=DEFAULT_SINKHORN_MAX_ITER, block_sigma=False
+                   ) -> DiffusionMapOperator:
+    """Build the normalised operator from an anchor ensemble and Sigma,
+    a one-state map or, with ``block_sigma``, a block map (as
+    ``stats.map_block`` takes them)."""
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     m = anchors.shape[1]
-    sigmas = np.moveaxis(map_columns(sigma_fn, anchors), -1, 0).copy()
+    sigmas = np.moveaxis(map_block(sigma_fn, anchors, block_sigma),
+                         -1, 0).copy()
     kernel = build_kernel(anchors, sigmas, eps_dm)
     v = sinkhorn(kernel, tol=tol, max_iter=max_iter)
     p = (v[:, None] * kernel) * v[None, :]
@@ -105,7 +110,7 @@ def build_operator(anchors, sigma_fn, eps_dm, tol=DEFAULT_SINKHORN_TOL,
     return DiffusionMapOperator(anchors=anchors, sigma_at_anchors=sigmas,
                                 bandwidth=eps_dm, scaling=v,
                                 row_residual=row_res, col_residual=col_res,
-                                sigma_fn=sigma_fn)
+                                sigma_fn=sigma_fn, block_sigma=block_sigma)
 
 
 def membership_weights(op: DiffusionMapOperator, x):
@@ -114,7 +119,8 @@ def membership_weights(op: DiffusionMapOperator, x):
     Entries are nonnegative and sum to one, so ``anchors @ p`` lies in
     the convex hull of the anchors.  Sigma is evaluated at each point."""
     block = np.asarray(x, dtype=float).reshape(len(x), -1)
-    sigma_x = np.moveaxis(map_columns(op.sigma_fn, block), -1, 0)
+    sigma_x = np.moveaxis(map_block(op.sigma_fn, block, op.block_sigma),
+                          -1, 0)
     # (Q, M) layout: each query's sums add in a single query's order
     diffs = op.anchors.T[None] - block.T[:, None]          # (Q, M, d)
     ssum = op.sigma_at_anchors[None] + sigma_x[:, None]    # (Q, M, d, d)

@@ -8,7 +8,8 @@ the extraction of the affine gain pair (A_t, c_t) from forward and
 reverse moments.
 
 The drift terms take a (d, M) particle block (or one (d,) state), so a
-sweep step calls each once.  ``_reverse_drift`` takes the
+sweep step calls each once, and evaluate the model maps on the block
+through ``ControlProblem.evaluate``.  ``_reverse_drift`` takes the
 cost-of-control correction as an input, so the split-step and
 discounted sweeps reuse it.
 
@@ -30,7 +31,7 @@ from .errors import NumericalBlowupError
 from .problem import ControlProblem
 # map_moments stays bound here for perfbench's binding checks
 from .stats import (Ensemble, EmpiricalMoments, _require_size, block_or_state,
-                    map_columns, map_moments)
+                    map_moments)
 
 
 @dataclass
@@ -48,30 +49,35 @@ def _grad_log_group(sig, div, mom: EmpiricalMoments, x):
 
 
 @block_or_state
-def g_bar_kf(p: ControlProblem, x, Cxh, mh):
-    """Running-cost drift correction (1/2) C^{xh} S^-1 (h(x) + m^h)."""
-    h = map_columns(p.running_map, x)
+def g_bar_kf(p: ControlProblem, x, Cxh, mh, h=None):
+    """Running-cost drift correction (1/2) C^{xh} S^-1 (h(x) + m^h).
+    ``h`` is the (dim_h, M) value of h at a block, when the caller has
+    it."""
+    if h is None:
+        h = p.evaluate("running_map", x)
     Cxh = np.atleast_2d(np.asarray(Cxh, dtype=float))
     return 0.5 * Cxh @ p.solve_s(h + np.asarray(mh, dtype=float)[:, None])
 
 
-def _forward_drift(p: ControlProblem, x, grad_log, Cxh, mh, eps_noise):
+def _forward_drift(p: ControlProblem, x, grad_log, Cxh, mh, eps_noise,
+                   h=None):
     """b(x) - (1-eps)/2 * grad_log - g_bar_kf(x) on a (d, M) block."""
-    return (map_columns(p.drift, x)
+    return (p.evaluate("drift", x)
             - 0.5 * (1.0 - eps_noise) * grad_log
-            - g_bar_kf(p, x, Cxh, mh))
+            - g_bar_kf(p, x, Cxh, mh, h))
 
 
 @block_or_state
 def forward_drift(p: ControlProblem, x, bar: EmpiricalMoments, Cxh, mh,
-                  eps_noise: float):
+                  eps_noise: float, h=None):
     """Drift of the forward mean-field SDE under the Gaussian closure.
 
-    b(x) - (1-eps)/2 * (div Sigma - Sigma C^-1 (x - m)) - g_bar_kf(x).
+    b(x) - (1-eps)/2 * (div Sigma - Sigma C^-1 (x - m)) - g_bar_kf(x),
+    with ``h`` passed on to ``g_bar_kf``.
     """
-    group = _grad_log_group(map_columns(p.sigma_sq, x),
-                            map_columns(p.div_sigma, x), bar, x)
-    return _forward_drift(p, x, group, Cxh, mh, eps_noise)
+    group = _grad_log_group(p.evaluate("sigma_sq", x),
+                            p.evaluate("div_sigma", x), bar, x)
+    return _forward_drift(p, x, group, Cxh, mh, eps_noise, h)
 
 
 def terminal_update(p: ControlProblem, e: Ensemble, delta: float, rng
@@ -86,7 +92,7 @@ def terminal_update(p: ControlProblem, e: Ensemble, delta: float, rng
     """
     _require_size(e)
     x = e.particles
-    xi_vals = map_columns(p.terminal_map, x)
+    xi_vals = p.evaluate("terminal_map", x)
     dx = x - x.mean(axis=1)[:, None]
     dxi = xi_vals - xi_vals.mean(axis=1)[:, None]
     C_xxi = (dx @ dxi.T) / (e.size - 1)
@@ -110,6 +116,13 @@ def gain_from_moments(bar: EmpiricalMoments, tilde: EmpiricalMoments
     return GainPair(A=A, c=c)
 
 
+def _frozen_core(p: ControlProblem, m):
+    """Sigma(m) - G(m) R G(m)^T at the single state ``m``."""
+    col = m[:, None]
+    g = p.evaluate("gain", col)[..., 0]
+    return p.evaluate("sigma_sq", col)[..., 0] - g @ p.control_weight @ g.T
+
+
 @block_or_state
 def g_tilde_kf(p: ControlProblem, x, tilde: EmpiricalMoments, gain: GainPair):
     """Reverse-sweep cost-of-control drift term
@@ -119,8 +132,7 @@ def g_tilde_kf(p: ControlProblem, x, tilde: EmpiricalMoments, gain: GainPair):
     with Sigma and G frozen at the reverse mean m~.
     """
     m = tilde.mean
-    g = np.asarray(p.gain(m), dtype=float)
-    core = p.sigma_sq(m) - g @ p.control_weight @ g.T
+    core = _frozen_core(p, m)
     return 0.5 * tilde.cov @ gain.A @ core @ (
         gain.A @ (x + m[:, None]) + 2.0 * gain.c[:, None])
 
@@ -130,9 +142,9 @@ def _reverse_drift(p: ControlProblem, x, bar, tilde: EmpiricalMoments,
     """``reverse_drift`` of a (d, M) block with ``correction`` in place of
     g_tilde_kf(x).  ``bar=None`` drops the forward group, which the
     split-step sweep replaces by its hull projection."""
-    sig = map_columns(p.sigma_sq, x)
-    div = map_columns(p.div_sigma, x)
-    out = -map_columns(p.drift, x)
+    sig = p.evaluate("sigma_sq", x)
+    div = p.evaluate("div_sigma", x)
+    out = -p.evaluate("drift", x)
     if bar is not None:
         out = out + _grad_log_group(sig, div, bar, x)
     return (out - 0.5 * (1.0 - eps_noise) * _grad_log_group(sig, div, tilde, x)

@@ -50,9 +50,7 @@ def g_tilde_kf_discounted(p: ControlProblem, x, tilde: EmpiricalMoments,
     Reduces to the finite-horizon term at gamma = 0.
     """
     m = tilde.mean
-    g = np.asarray(p.gain(m), dtype=float)
-    core = gamma * np.eye(p.dim_x) + gain.A @ (
-        p.sigma_sq(m) - g @ p.control_weight @ g.T)
+    core = gamma * np.eye(p.dim_x) + gain.A @ enkf._frozen_core(p, m)
     return 0.5 * tilde.cov @ core @ (
         gain.A @ (x + m[:, None]) + 2.0 * gain.c[:, None])
 

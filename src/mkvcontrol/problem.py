@@ -11,22 +11,36 @@ the horizon T and the start point x0.  Feedback laws are affine,
 u_t(x) = R G(x)^T (A_t x + c_t), and are stored on a time grid by
 :class:`AffineControlSchedule`.
 
-The model maps take one state.  The cost and control functions take one
-state, or a (dim_x, P) block of states, for which they return one value
-per column, bitwise what the one-state call gives.
+The solver evaluates every model map on a (dim_x, M) block of states
+through ``ControlProblem.evaluate``: in one call when the problem
+declares ``block_maps``, else one state at a time.  The cost and
+control functions take one state, or a (dim_x, P) block of states, for
+which they return one value per column, bitwise what the one-state
+call gives.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DimensionError, TimeOutOfRangeError
-from .stats import map_columns, matvec_columns
+from .stats import map_block, matvec_columns
 
 Vector = np.ndarray
 Matrix = np.ndarray
+
+# model map -> (symbol in messages, dimensions of one state's value)
+MAP_SHAPES = {
+    "drift": ("b", ("dim_x",)),
+    "gain": ("G", ("dim_x", "dim_u")),
+    "noise": ("sigma", ("dim_x", "dim_b")),
+    "div_sigma": ("div Sigma", ("dim_x",)),
+    "sigma_sq": ("Sigma", ("dim_x", "dim_x")),
+    "running_map": ("h", ("dim_h",)),
+    "terminal_map": ("xi", ("dim_xi",)),
+}
 
 
 def _spd_factor(name, w):
@@ -46,11 +60,18 @@ def _spd_factor(name, w):
 class ControlProblem:
     """Immutable description of a finite-horizon control problem.
 
-    All map-valued fields take a single state x of shape (dim_x,) and
-    return numpy arrays of the declared shapes.  ``div_sigma`` is the
-    analytic divergence of Sigma = sigma sigma^T (row-wise divergence,
-    a vector field); leave it ``None`` for constant sigma, in which
-    case the zero map is used.
+    By default the map-valued fields take a single state x of shape
+    (dim_x,) and return numpy arrays of the declared shapes.  With
+    ``block_maps=True`` the maps take a (dim_x, M) block of states
+    instead and return their values stacked along a last axis:
+    (dim_x, M) for ``drift``, (dim_x, dim_u, M) for ``gain``, and so
+    on, column i being the value at state i; the solver then calls
+    each map once per block instead of once per state.  The flag is
+    never inferred from a map's output, because a one-state map such as
+    ``lambda x: np.array([[1.0]])`` returns a plausible array on a
+    block too.  ``div_sigma`` is the analytic divergence of
+    Sigma = sigma sigma^T (row-wise divergence, a vector field); leave
+    it ``None`` for constant sigma, in which case the zero map is used.
     """
 
     dim_x: int
@@ -69,6 +90,7 @@ class ControlProblem:
     horizon: float
     start: Vector
     div_sigma: Optional[Callable[[Vector], Vector]] = None
+    block_maps: bool = False
 
     def __post_init__(self):
         for name in ("dim_x", "dim_u", "dim_b", "dim_h", "dim_xi"):
@@ -95,30 +117,40 @@ class ControlProblem:
             raise DimensionError("control_weight shape does not match dim_u")
 
         if self.div_sigma is None:
-            zero = np.zeros(self.dim_x)
-            self.div_sigma = lambda x, _z=zero: _z
+            self.div_sigma = lambda x: np.zeros(np.shape(x))
 
         # symmetric square root of V, used by the stochastic EnKF update
         vals, vecs = np.linalg.eigh(self.terminal_weight)
         self._v_sqrt = (vecs * np.sqrt(vals)) @ vecs.T
 
         # probe the model maps once at the start point
-        x = self.start
-        probes = {
-            "drift": (self.drift(x), (self.dim_x,)),
-            "gain": (self.gain(x), (self.dim_x, self.dim_u)),
-            "noise": (self.noise(x), (self.dim_x, self.dim_b)),
-            "div_sigma": (self.div_sigma(x), (self.dim_x,)),
-            "running_map": (self.running_map(x), (self.dim_h,)),
-            "terminal_map": (self.terminal_map(x), (self.dim_xi,)),
-        }
-        for name, (value, shape) in probes.items():
-            if np.shape(np.asarray(value)) != shape:
-                raise DimensionError(
-                    f"{name}(x0) has shape {np.shape(value)}, expected {shape}")
+        for name in MAP_SHAPES:
+            self.evaluate(name, self.start[:, None])
+
+    def evaluate(self, name, x):
+        """Model map ``name`` (a key of MAP_SHAPES) at each column of the
+        (dim_x, M) block ``x``, stacked along a last axis: one call on
+        the block with ``block_maps``, else one call per column.  A
+        value of the wrong shape raises DimensionError."""
+        try:
+            out = map_block(getattr(self, name), x, self.block_maps)
+        except DimensionError as exc:
+            raise DimensionError(f"{name}: {exc}") from None
+        symbol, dims = MAP_SHAPES[name]
+        shape = tuple(getattr(self, dim) for dim in dims)
+        if out.shape[:-1] != shape:
+            raise DimensionError(f"{name}: {symbol}(x) has shape "
+                                 f"{out.shape[:-1]}, expected {shape}")
+        return out
 
     def sigma_sq(self, x):
-        """Sigma(x) = sigma(x) sigma(x)^T."""
+        """Sigma(x) = sigma(x) sigma(x)^T at one state, or as a
+        (dim_x, dim_x, M) stack at the columns of a (dim_x, M) block."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            s = np.ascontiguousarray(self.evaluate("noise", x)
+                                     .transpose(2, 0, 1))
+            return (s @ s.transpose(0, 2, 1)).transpose(1, 2, 0)
         s = np.asarray(self.noise(x), dtype=float)
         return s @ s.T
 
@@ -203,31 +235,28 @@ def _half_quad(solve, v, one):
     return float(q[0]) if one else q
 
 
-def _state_cost(p, f, solve, x, name, dim):
-    """(1/2) f(x)^T W^-1 f(x) at a state or at each column of a block."""
+def _state_cost(p, name, solve, x):
+    """(1/2) f(x)^T W^-1 f(x) at a state or at each column of a block,
+    for the map ``name`` and ``solve`` = W^-1."""
     x = p.check_state(x)
-    v = map_columns(f, x.reshape(p.dim_x, -1))
-    v = v.reshape(-1, v.shape[-1])
-    if v.shape[0] != dim:
-        raise DimensionError(
-            f"{name}(x) has shape ({v.shape[0]},), expected ({dim},)")
+    v = p.evaluate(name, x.reshape(p.dim_x, -1))
     return _half_quad(solve, v, x.ndim == 1)
 
 
 def gain_stack(p: ControlProblem, x):
     """G at each column of the (d, P) block ``x``, as a C-ordered
     (P, d, u) stack: the layout one state's G has."""
-    return np.ascontiguousarray(map_columns(p.gain, x).transpose(2, 0, 1))
+    return np.ascontiguousarray(p.evaluate("gain", x).transpose(2, 0, 1))
 
 
 def running_cost(p: ControlProblem, x):
     """Running cost c(x) = (1/2) h(x)^T S^-1 h(x); always >= 0."""
-    return _state_cost(p, p.running_map, p.solve_s, x, "h", p.dim_h)
+    return _state_cost(p, "running_map", p.solve_s, x)
 
 
 def terminal_cost(p: ControlProblem, x):
     """Terminal cost f(x) = (1/2) xi(x)^T V^-1 xi(x); always >= 0."""
-    return _state_cost(p, p.terminal_map, p.solve_v, x, "xi", p.dim_xi)
+    return _state_cost(p, "terminal_map", p.solve_v, x)
 
 
 def control_cost(p: ControlProblem, u):
@@ -237,12 +266,16 @@ def control_cost(p: ControlProblem, u):
     return _half_quad(p.solve_r, u.reshape(-1, 1) if one else u, one)
 
 
-def apply_control(p: ControlProblem, sched: AffineControlSchedule, t, x):
-    """Evaluate u_t(x) = R G(x)^T (A_t x + c_t)."""
+def apply_control(p: ControlProblem, sched: AffineControlSchedule, t, x,
+                  gains=None):
+    """Evaluate u_t(x) = R G(x)^T (A_t x + c_t).  ``gains`` is
+    ``gain_stack(p, x)`` of a block ``x``, when the caller has it."""
     x = p.check_state(x)
     block = x.reshape(p.dim_x, -1)
     A, c = sched.at(t)
     v = matvec_columns(A, block) + c[:, None]
-    gt = gain_stack(p, block).transpose(0, 2, 1)
+    if gains is None:
+        gains = gain_stack(p, block)
+    gt = gains.transpose(0, 2, 1)
     u = matvec_columns(p.control_weight, matvec_columns(gt, v))
     return u if x.ndim == 2 else u[:, 0]

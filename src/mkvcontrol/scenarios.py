@@ -12,6 +12,10 @@ Each scenario bundles a problem constructor and solver defaults:
 * ``ou_diffusion`` -- zero-running-cost Ornstein-Uhlenbeck process
   started from its stationary Gaussian; the reverse sweep reduces to a
   classical reverse-time sampler.
+
+Every scenario's model maps take one state or a (d, M) block of states
+(``block_maps=True``), giving at each column the bits of the one-state
+call.
 """
 
 from dataclasses import dataclass
@@ -21,6 +25,13 @@ import numpy as np
 
 from .problem import ControlProblem
 from .solver import NoiseSchedule, SolverConfig
+
+
+def _constant(value):
+    """The model map with constant ``value``, stacked along a last axis
+    over the columns of a block."""
+    value = np.asarray(value, dtype=float)
+    return lambda x: np.multiply.outer(value, np.ones(np.shape(x)[1:]))
 
 
 @dataclass
@@ -35,8 +46,8 @@ def _pendulum_problem():
     return ControlProblem(
         dim_x=2, dim_u=1, dim_b=1, dim_h=1, dim_xi=2,
         drift=lambda x: np.array([x[1], np.sin(x[0])]),
-        gain=lambda x: np.array([[0.0], [-np.cos(x[0])]]),
-        noise=lambda x: np.array([[0.0], [1.0]]),
+        gain=lambda x: np.array([[np.zeros_like(x[0])], [-np.cos(x[0])]]),
+        noise=_constant([[0.0], [1.0]]),
         running_map=lambda x: np.array([x[1]]),
         running_weight=np.array([[0.1]]),
         terminal_map=lambda x: np.asarray(x, dtype=float),
@@ -44,6 +55,7 @@ def _pendulum_problem():
         control_weight=np.array([[10.0]]),
         horizon=1.0,
         start=np.array([np.pi, 0.1]),
+        block_maps=True,
     )
 
 
@@ -59,8 +71,8 @@ def _langevin_problem():
     return ControlProblem(
         dim_x=1, dim_u=1, dim_b=1, dim_h=1, dim_xi=1,
         drift=lambda x: -(x ** 3 - x),
-        gain=lambda x: np.array([[1.0]]),
-        noise=lambda x: np.array([[1.0]]),
+        gain=_constant([[1.0]]),
+        noise=_constant([[1.0]]),
         running_map=lambda x: np.asarray(x, dtype=float),
         running_weight=np.array([[0.01]]),
         terminal_map=lambda x: np.asarray(x, dtype=float),
@@ -70,6 +82,7 @@ def _langevin_problem():
         control_weight=np.array([[1.0]]),
         horizon=30.0,
         start=np.array([1.0]),
+        block_maps=True,
     )
 
 
@@ -85,8 +98,8 @@ def _lq_problem(a=-0.5):
     return ControlProblem(
         dim_x=1, dim_u=1, dim_b=1, dim_h=1, dim_xi=1,
         drift=lambda x: a * np.asarray(x, dtype=float),
-        gain=lambda x: np.array([[1.0]]),
-        noise=lambda x: np.array([[1.0]]),
+        gain=_constant([[1.0]]),
+        noise=_constant([[1.0]]),
         running_map=lambda x: np.asarray(x, dtype=float),
         running_weight=np.array([[1.0]]),
         terminal_map=lambda x: np.asarray(x, dtype=float),
@@ -94,6 +107,7 @@ def _lq_problem(a=-0.5):
         control_weight=np.array([[1.0]]),
         horizon=1.0,
         start=np.array([1.0]),
+        block_maps=True,
     )
 
 
@@ -109,15 +123,16 @@ def _ou_problem():
     return ControlProblem(
         dim_x=1, dim_u=1, dim_b=1, dim_h=1, dim_xi=1,
         drift=lambda x: -0.5 * np.asarray(x, dtype=float),
-        gain=lambda x: np.array([[1.0]]),
-        noise=lambda x: np.array([[1.0]]),
-        running_map=lambda x: np.zeros(1),
+        gain=_constant([[1.0]]),
+        noise=_constant([[1.0]]),
+        running_map=_constant([0.0]),
         running_weight=np.array([[1.0]]),
         terminal_map=lambda x: np.asarray(x, dtype=float),
         terminal_weight=np.array([[1.0]]),
         control_weight=np.array([[1.0]]),
         horizon=1.0,
         start=np.array([0.0]),
+        block_maps=True,
     )
 
 

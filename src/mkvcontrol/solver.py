@@ -28,8 +28,8 @@ from . import dmap, enkf
 from .errors import DimensionError, NumericalBlowupError
 from .problem import (AffineControlSchedule, ControlProblem, apply_control,
                       control_cost, gain_stack, running_cost, terminal_cost)
-from .stats import (Ensemble, EmpiricalMoments, cross_cov, map_columns,
-                    map_moments, matvec_columns, moments)
+from .stats import (Ensemble, EmpiricalMoments, cross_cov, map_moments,
+                    matvec_columns, moments)
 
 BACKENDS = ("enkf", "dmap_enkf")
 
@@ -167,7 +167,7 @@ def _euler_step(p: ControlProblem, x, drift, eps, dt, normal):
     if eps > 0.0:
         noise = normal((p.dim_b, x.shape[1]))
         x_new += np.sqrt(eps * dt) * np.einsum(
-            "ijm,jm->im", map_columns(p.noise, x), noise)
+            "ijm,jm->im", p.evaluate("noise", x), noise)
     if not np.all(np.isfinite(x_new)):
         bad = int(np.argwhere(~np.isfinite(x_new).all(axis=0))[0, 0])
         raise NumericalBlowupError(f"non-finite particle {bad}", particle=bad)
@@ -186,14 +186,15 @@ def _forward_step(p: ControlProblem, cfg: SolverConfig, e: Ensemble,
     x = e.particles
     eps = cfg.eps_noise_forward.at(step)
     with _located(step, e.time):
-        cxh = cross_cov(e, p.running_map)
-        mh, _ = map_moments(e, p.running_map)
+        h = p.evaluate("running_map", x)
+        cxh = cross_cov(e, h)
+        mh, _ = map_moments(e, h)
         if op is not None and eps < 1.0:
             residuals.append(max(op.row_residual, op.col_residual))
             drift = enkf._forward_drift(p, x, dmap.grad_log_estimate(op, x),
-                                        cxh, mh, eps)
+                                        cxh, mh, eps, h)
         else:
-            drift = enkf.forward_drift(p, x, bar, cxh, mh, eps)
+            drift = enkf.forward_drift(p, x, bar, cxh, mh, eps, h)
         return _euler_step(p, x, drift, eps, cfg.dt, rng.standard_normal)
 
 
@@ -227,7 +228,8 @@ def forward_sweep(p: ControlProblem, cfg: SolverConfig, rng):
         if record.forward_operators is not None:
             op = dmap.build_operator(
                 record.forward_ensembles[step], p.sigma_sq,
-                cfg.kernel_scale(), cfg.sinkhorn_tol, cfg.sinkhorn_max_iter)
+                cfg.kernel_scale(), cfg.sinkhorn_tol, cfg.sinkhorn_max_iter,
+                p.block_maps)
             record.forward_operators.append(op)
         x = _forward_step(p, cfg, e, bar, step, rng, op,
                           record.sinkhorn_residuals)
@@ -363,13 +365,13 @@ def simulate_controlled(p: ControlProblem, sched: AffineControlSchedule,
     x = np.tile(start[:, None], (1, n_paths))
     for step in range(n + 1):
         with _located(step, times[step]):
-            u = apply_control(p, sched, times[step], x)
+            gains = gain_stack(p, x)
+            u = apply_control(p, sched, times[step], x, gains)
             states[:, step] = x.T
             controls[:, step] = u.T
             if step == n:
                 break
-            drift = (map_columns(p.drift, x)
-                     + matvec_columns(gain_stack(p, x), u))
+            drift = p.evaluate("drift", x) + matvec_columns(gains, u)
             x = _euler_step(p, x, drift, rho ** 2,
                             times[step + 1] - times[step],
                             lambda shape: normals[step])

@@ -5,6 +5,13 @@ dimensions is a (d, M) array.  All covariances use the unbiased
 1/(M-1) normalisation, and the state covariance is regularised by an
 additive inflation ``delta * I`` so that it stays invertible even for
 very small ensembles.
+
+``map_block`` is the one place where a model map meets a block of
+states.  A map written for one state is evaluated column by column
+through ``map_columns``; a map declared to take a (d, M) block is
+called once on it.  The declaration is explicit, never probed: a
+one-state map such as ``lambda x: np.array([[1.0]])`` returns a
+plausible array on a block too and would go wrong silently.
 """
 
 import functools
@@ -21,8 +28,30 @@ def map_columns(f, x):
     """Evaluate the one-state map ``f`` on each column of the (d, M)
     block ``x``; results are stacked along a new last axis, so a vector
     map gives (k, M) and a matrix map (r, c, M)."""
-    return np.stack([np.atleast_1d(np.asarray(f(x[:, i]), dtype=float))
-                     for i in range(x.shape[1])], axis=-1)
+    values = [np.atleast_1d(np.asarray(f(x[:, i]), dtype=float))
+              for i in range(x.shape[1])]
+    try:
+        return np.stack(values, axis=-1)
+    except ValueError:
+        shapes = sorted({v.shape for v in values})
+        raise DimensionError(
+            f"map output shape changes between states: {shapes}") from None
+
+
+def map_block(f, x, block=False):
+    """``f`` at each column of the (d, M) block ``x``, stacked along a
+    new last axis as ``map_columns`` stacks it.  A block map
+    (``block=True``) takes the whole block in one call and must return
+    one value per column along its last axis; its result is made
+    C-contiguous, the layout ``map_columns`` gives, and may share
+    memory with ``x``."""
+    if not block:
+        return map_columns(f, x)
+    out = np.ascontiguousarray(f(x), dtype=float)
+    if out.shape[-1:] != (x.shape[1],):
+        raise DimensionError(
+            f"block map returned shape {out.shape} for {x.shape[1]} states")
+    return out
 
 
 def matvec_columns(m, v):
@@ -113,23 +142,33 @@ def moments(e: Ensemble, delta: float = 0.0) -> EmpiricalMoments:
     return EmpiricalMoments(mean=m, cov=cov)
 
 
+def _map_values(e: Ensemble, f):
+    """(k, M) values of ``f`` at the particles: ``f`` is a one-state map,
+    or already those values."""
+    if callable(f):
+        return map_columns(f, e.particles)
+    return np.asarray(f, dtype=float)
+
+
 def cross_cov(e: Ensemble, f) -> np.ndarray:
     """Empirical cross-covariance (1/(M-1)) sum (X^i - m)(f(X^i) - m^f)^T.
 
-    No inflation is applied to cross-covariances.
+    ``f`` is a one-state map or its (k, M) values at the particles.  No
+    inflation is applied to cross-covariances.
     """
     _require_size(e)
     x = e.particles
-    fx = map_columns(f, x)
+    fx = _map_values(e, f)
     dx = x - x.mean(axis=1)[:, None]
     df = fx - fx.mean(axis=1)[:, None]
     return (dx @ df.T) / (e.size - 1)
 
 
 def map_moments(e: Ensemble, f):
-    """Mean and (uninflated) auto-covariance of f over the ensemble."""
+    """Mean and (uninflated) auto-covariance of f over the ensemble; ``f``
+    is a one-state map or its (k, M) values at the particles."""
     _require_size(e)
-    fx = map_columns(f, e.particles)
+    fx = _map_values(e, f)
     mf = fx.mean(axis=1)
     df = fx - mf[:, None]
     return mf, (df @ df.T) / (e.size - 1)

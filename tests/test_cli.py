@@ -1,5 +1,6 @@
 """Tests for the command-line front end and its file formats."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -188,6 +189,32 @@ def test_cost_blowup_is_numerical_failure_naming_step(tmp_path, capsys,
     assert code == EXIT_NUMERICAL
     assert "numerical failure: step 8 (t=0.4): non-finite particle 0" in \
         capsys.readouterr().err
+
+
+def _lq_with(**maps):
+    return lambda: dataclasses.replace(
+        scenarios.get_scenario("lq").make_problem(), **maps)
+
+
+@pytest.mark.parametrize("maps", [
+    # one-state map of size 1 at x >= 1 and size 2 below
+    {"block_maps": False,
+     "running_map": lambda x: np.zeros(1 if x[0] >= 1.0 else 2)},
+    # block map right on the one-column start probe, wrong on a block
+    {"drift": lambda x: -x[:, :1]},
+], ids=["ragged-one-state-map", "wrong-shape-block-map"])
+def test_map_output_of_the_wrong_shape_is_config_error(tmp_path, capsys,
+                                                       monkeypatch, maps):
+    monkeypatch.setitem(scenarios.REGISTRY, "bad_map", Scenario(
+        name="bad_map", description="map output of the wrong shape",
+        make_problem=_lq_with(**maps),
+        default_config=scenarios.get_scenario("lq").default_config))
+    code = run_cli("solve", "--scenario", "bad_map", "--ensemble-size", "8",
+                   "--out", str(tmp_path))
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert ("running_map" if "running_map" in maps else "drift") in err
 
 
 def test_backend_flag_normalisation():

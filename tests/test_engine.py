@@ -1,8 +1,9 @@
 """Tests of the block sweep engine: equivalence with the per-particle
 and per-path reference loops, block-versus-column properties of the
-drift, control and cost terms, and the location carried by blow-up
-errors."""
+drift, control and cost terms, the block model maps of the built-in
+scenarios, and the location carried by blow-up errors."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -19,7 +20,9 @@ from mkvcontrol import (AffineControlSchedule, ControlProblem, Ensemble,
                         moments, reverse_drift, running_cost,
                         simulate_controlled, solve, stationary_solve,
                         terminal_cost)
+from mkvcontrol.problem import MAP_SHAPES
 from mkvcontrol.solver import forward_sweep, reverse_sweep_enkf
+from mkvcontrol.stats import map_columns
 
 # scenario -> (horizon, relative tolerance against the reference); the
 # d = 2 pendulum multiplies 2x2 matrices into blocks, which BLAS may sum
@@ -40,6 +43,7 @@ def test_solve_matches_per_particle_reference(name):
     horizon, rtol = SHORT[name]
     sc = get_scenario(name)
     p = sc.make_problem()
+    assert p.block_maps   # the block maps against the one-state oracle
     p.horizon = horizon
     cfg = sc.default_config()
     sched, rec = solve(p, cfg)
@@ -53,6 +57,7 @@ def test_solve_matches_per_particle_reference(name):
 
 def test_stationary_solve_matches_per_particle_reference():
     p = get_scenario("lq").make_problem()
+    assert p.block_maps
     base = get_scenario("lq").default_config()
     base.ensemble_size = 16
     hcfg = HorizonConfig(gamma=0.5, base=base, equilibrium_tol=1e-3)
@@ -61,6 +66,67 @@ def test_stationary_solve_matches_per_particle_reference():
     assert (diag["forward_steps"], diag["reverse_steps"]) == want_steps
     _assert_match(gain.A, want_gain.A, 0.0)
     _assert_match(gain.c, want_gain.c, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# block model maps of the built-in scenarios
+
+SCENARIOS = ["pendulum", "langevin", "lq", "ou_diffusion"]
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_scenario_block_maps_equal_one_state_maps(name, data):
+    p = get_scenario(name).make_problem()
+    one_state = dataclasses.replace(p, block_maps=False)
+    m = data.draw(st.integers(1, 9))
+    x = np.array(data.draw(st.lists(
+        st.floats(-50.0, 50.0), min_size=p.dim_x * m,
+        max_size=p.dim_x * m))).reshape(p.dim_x, m)
+    for map_name in MAP_SHAPES:
+        want = map_columns(getattr(p, map_name), x)
+        for got in (p.evaluate(map_name, x), one_state.evaluate(map_name, x)):
+            assert got.shape == want.shape, map_name
+            assert got.tobytes() == want.tobytes(), map_name
+
+
+def _recording(p):
+    """``p`` with every model map recording the shape it is called on."""
+    seen = {}
+
+    def record(name, f):
+        return lambda x: seen.setdefault(name, []).append(np.shape(x)) or f(x)
+
+    for name in MAP_SHAPES:
+        if name != "sigma_sq":
+            setattr(p, name, record(name, getattr(p, name)))
+    return seen
+
+
+@pytest.mark.parametrize("block_maps", [True, False])
+def test_each_map_is_called_once_per_block_only_when_declared(block_maps):
+    sc = get_scenario("lq")
+    p = dataclasses.replace(sc.make_problem(), horizon=0.02,
+                            block_maps=block_maps)
+    cfg = sc.default_config()
+    seen = _recording(p)
+    sched, _ = solve(p, cfg)
+    n, m = cfg.n_steps(p.horizon), cfg.ensemble_size
+    if block_maps:
+        # forward and reverse steps map the whole (1, M) block once;
+        # G and Sigma frozen at the reverse mean see one column
+        assert seen["drift"] == [(1, m)] * (2 * n)
+        assert seen["running_map"] == [(1, m)] * n
+        assert seen["terminal_map"] == [(1, m)]
+        assert set(seen["gain"]) == {(1, 1)}
+    else:
+        assert {s for shapes in seen.values() for s in shapes} == {(1,)}
+        assert len(seen["drift"]) == 2 * n * m
+        assert len(seen["running_map"]) == n * m
+    twin, _ = solve(dataclasses.replace(p, block_maps=not block_maps), cfg)
+    assert sched.gains.tobytes() == twin.gains.tobytes()
+    assert sched.shifts.tobytes() == twin.shifts.tobytes()
 
 
 # ---------------------------------------------------------------------------

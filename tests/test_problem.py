@@ -1,5 +1,7 @@
 """Tests for problem data, costs, and the affine control schedule."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -207,3 +209,28 @@ def test_cost_rejects_map_output_of_the_wrong_size():
 def test_div_sigma_defaults_to_zero():
     p = scalar_problem()
     assert np.allclose(p.div_sigma(np.array([1.5])), 0.0)
+
+
+def test_ragged_one_state_map_is_a_dimension_error():
+    # size 1 at the start point x = 0 and size 2 elsewhere
+    p = scalar_problem(running_map=lambda x: np.zeros(1 if x[0] == 0.0 else 2))
+    with pytest.raises(DimensionError, match="running_map"):
+        running_cost(p, np.array([[0.0, 1.0]]))
+
+
+def test_block_map_of_the_wrong_shape_is_a_dimension_error():
+    # a one-state constant declared as a block map fails the start probe
+    with pytest.raises(DimensionError, match="gain: G\\(x\\) has shape"):
+        scalar_problem(block_maps=True,
+                       drift=lambda x: -np.asarray(x, dtype=float),
+                       gain=lambda x: np.array([[1.0]]))
+    # right on the one-column probe, wrong on larger blocks
+    p = dataclasses.replace(get_scenario("lq").make_problem(),
+                            running_map=lambda x: x[:, :1],
+                            terminal_map=lambda x: x[:, :1])
+    x = np.array([[0.5, 1.0, 2.0]])
+    with pytest.raises(DimensionError, match="running_map"):
+        running_cost(p, x)
+    with pytest.raises(DimensionError, match="terminal_map"):
+        terminal_cost(p, x)
+

@@ -5,6 +5,7 @@ import pytest
 
 from mkvcontrol import (DimensionError, Ensemble, EmpiricalMoments,
                         InsufficientEnsembleError, cross_cov, moments)
+from mkvcontrol.stats import map_block, map_columns, map_moments
 
 
 def test_moments_two_particles():
@@ -95,3 +96,39 @@ def test_moments_solve_matches_direct_inverse():
 def test_empirical_moments_direct_construction():
     mom = EmpiricalMoments(mean=np.zeros(1), cov=np.array([[4.0]]))
     assert mom.solve(np.array([2.0]))[0] == pytest.approx(0.5)
+
+
+def test_cross_cov_and_map_moments_take_map_values():
+    rng = np.random.default_rng(19)
+    e = Ensemble(particles=rng.standard_normal((2, 9)))
+    f = lambda x: np.array([x[0] * x[1], np.sin(x[0])])
+    fx = map_columns(f, e.particles)
+    assert cross_cov(e, fx).tobytes() == cross_cov(e, f).tobytes()
+    for got, want in zip(map_moments(e, fx), map_moments(e, f)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_ragged_one_state_map_raises_dimension_error():
+    # size 1 at x = 0 and size 2 elsewhere
+    ragged = lambda x: np.zeros(1 if x[0] == 0.0 else 2)
+    with pytest.raises(DimensionError, match="changes between states"):
+        map_columns(ragged, np.array([[0.0, 1.0]]))
+    with pytest.raises(DimensionError):
+        map_block(ragged, np.array([[0.0, 1.0]]))
+
+
+def test_block_map_needs_one_value_per_column():
+    x = np.arange(6.0).reshape(2, 3)
+    assert map_block(lambda y: 2.0 * y, x, block=True).tobytes() == \
+        (2.0 * x).tobytes()
+    # a one-state constant map declared as a block map
+    for f in (lambda y: np.array([[1.0]]), lambda y: y[:, 0]):
+        with pytest.raises(DimensionError, match="block map returned shape"):
+            map_block(f, x, block=True)
+
+
+def test_map_block_result_is_c_contiguous():
+    x = np.arange(6.0).reshape(3, 2).T     # a (2, 3) view, not C-ordered
+    out = map_block(lambda y: y, x, block=True)
+    assert out.flags.c_contiguous and out.tobytes() == \
+        map_columns(lambda y: y, x).tobytes()
