@@ -42,38 +42,36 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, times, *blocks):
+    """One row per time: t, then the entries of each block at that time."""
+    table = np.column_stack([times] + [np.reshape(b, (len(times), -1))
+                                       for b in blocks])
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
+        for row in table:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _moment_header(d):
-    cols = ["t"] + [f"m_{i + 1}" for i in range(d)]
-    cols += [f"C_{i + 1}{j + 1}" for i in range(d) for j in range(d)]
-    return cols
+def _indexed(name, *dims):
+    """Column names ``name_i`` (or ``name_ij``) over the given sizes."""
+    return [name + "_" + "".join(str(i + 1) for i in idx)
+            for idx in np.ndindex(*dims)]
 
 
 def write_moments_csv(path, times, means, covs):
     d = means.shape[1]
-    rows = [[times[n], *means[n], *covs[n].reshape(-1)]
-            for n in range(len(times))]
-    _write_csv(path, _moment_header(d), rows)
+    _write_csv(path, ["t"] + _indexed("m", d) + _indexed("C", d, d),
+               times, means, covs)
 
 
 def write_control_csv(path, sched: AffineControlSchedule):
     d = sched.shifts.shape[1]
-    header = (["t"] + [f"A_{i + 1}{j + 1}" for i in range(d) for j in range(d)]
-              + [f"c_{i + 1}" for i in range(d)])
-    rows = [[sched.times[n], *sched.gains[n].reshape(-1), *sched.shifts[n]]
-            for n in range(len(sched.times))]
-    _write_csv(path, header, rows)
+    _write_csv(path, ["t"] + _indexed("A", d, d) + _indexed("c", d),
+               sched.times, sched.gains, sched.shifts)
 
 
 def read_control_csv(path) -> AffineControlSchedule:
-    data = np.genfromtxt(path, delimiter=",", skip_header=1)
-    data = np.atleast_2d(data)
+    data = np.atleast_2d(np.genfromtxt(path, delimiter=",", skip_header=1))
     n_cols = data.shape[1]
     # t + d*d gains + d shifts
     d = int(round((-1 + np.sqrt(1 + 4 * (n_cols - 1))) / 2))
@@ -86,61 +84,53 @@ def read_control_csv(path) -> AffineControlSchedule:
 
 
 def write_trajectory_csv(path, times, states, controls):
-    d = states.shape[1]
-    du = controls.shape[1]
-    header = (["t"] + [f"x_{i + 1}" for i in range(d)]
-              + [f"u_{i + 1}" for i in range(du)])
-    rows = [[times[n], *states[n], *controls[n]] for n in range(len(times))]
-    _write_csv(path, header, rows)
+    header = (["t"] + _indexed("x", states.shape[1])
+              + _indexed("u", controls.shape[1]))
+    _write_csv(path, header, times, states, controls)
 
 
 # ---------------------------------------------------------------------------
 # configuration resolution
 
-_SOLVER_KEYS = ("dt", "ensemble_size", "inflation", "backend", "seed",
-                "eps_dm", "record_every",
-                "eps_forward_first", "eps_forward_nfirst", "eps_forward_rest",
-                "eps_reverse_first", "eps_reverse_nfirst", "eps_reverse_rest")
+# solver config key -> (SolverConfig field, NoiseSchedule field or None,
+# parser of its manifest string); the manifest writes them in this order
+_SOLVER_KEYS = {
+    "dt": ("dt", None, float),
+    "ensemble_size": ("ensemble_size", None, int),
+    "inflation": ("inflation", None, float),
+    "backend": ("backend", None, str),
+    "seed": ("seed", None, int),
+    "eps_dm": ("eps_dm", None,
+               lambda v: None if v in ("", None) else float(v)),
+    "record_every": ("record_every", None, int),
+    "eps_forward_first": ("eps_noise_forward", "first", float),
+    "eps_forward_nfirst": ("eps_noise_forward", "n_first", int),
+    "eps_forward_rest": ("eps_noise_forward", "rest", float),
+    "eps_reverse_first": ("eps_noise_reverse", "first", float),
+    "eps_reverse_nfirst": ("eps_noise_reverse", "n_first", int),
+    "eps_reverse_rest": ("eps_noise_reverse", "rest", float),
+}
 
 
 def _config_to_dict(cfg: SolverConfig) -> dict:
-    return {
-        "dt": cfg.dt,
-        "ensemble_size": cfg.ensemble_size,
-        "inflation": cfg.inflation,
-        "backend": cfg.backend,
-        "seed": cfg.seed,
-        "eps_dm": "" if cfg.eps_dm is None else cfg.eps_dm,
-        "record_every": cfg.record_every,
-        "eps_forward_first": cfg.eps_noise_forward.first,
-        "eps_forward_nfirst": cfg.eps_noise_forward.n_first,
-        "eps_forward_rest": cfg.eps_noise_forward.rest,
-        "eps_reverse_first": cfg.eps_noise_reverse.first,
-        "eps_reverse_nfirst": cfg.eps_noise_reverse.n_first,
-        "eps_reverse_rest": cfg.eps_noise_reverse.rest,
-    }
+    values = {}
+    for key, (name, sub, _) in _SOLVER_KEYS.items():
+        value = getattr(cfg, name)
+        value = value if sub is None else getattr(value, sub)
+        values[key] = "" if value is None else value
+    return values
 
 
 def _dict_to_config(d: dict, init_cov=None) -> SolverConfig:
-    eps_dm = d.get("eps_dm", "")
-    return SolverConfig(
-        dt=float(d["dt"]),
-        ensemble_size=int(d["ensemble_size"]),
-        inflation=float(d["inflation"]),
-        backend=str(d["backend"]),
-        seed=int(d["seed"]),
-        eps_dm=None if eps_dm in ("", None) else float(eps_dm),
-        record_every=int(d.get("record_every", 1)),
-        eps_noise_forward=NoiseSchedule(
-            first=float(d["eps_forward_first"]),
-            n_first=int(d["eps_forward_nfirst"]),
-            rest=float(d["eps_forward_rest"])),
-        eps_noise_reverse=NoiseSchedule(
-            first=float(d["eps_reverse_first"]),
-            n_first=int(d["eps_reverse_nfirst"]),
-            rest=float(d["eps_reverse_rest"])),
-        init_cov=init_cov,
-    )
+    kwargs = {"eps_noise_forward": {}, "eps_noise_reverse": {}}
+    for key, (name, sub, parse) in _SOLVER_KEYS.items():
+        if sub is None:
+            kwargs[name] = parse(d[key])
+        else:
+            kwargs[name][sub] = parse(d[key])
+    for name in ("eps_noise_forward", "eps_noise_reverse"):
+        kwargs[name] = NoiseSchedule(**kwargs[name])
+    return SolverConfig(init_cov=init_cov, **kwargs)
 
 
 def resolve_run(args) -> tuple:
@@ -176,16 +166,11 @@ def resolve_run(args) -> tuple:
             raise ConfigError(f"unknown solver config key {key!r}")
         values[key] = val
 
-    # flag overrides
-    if args.seed is not None:
-        values["seed"] = args.seed
-    if getattr(args, "dt", None) is not None:
-        values["dt"] = args.dt
-    if getattr(args, "ensemble_size", None) is not None:
-        values["ensemble_size"] = args.ensemble_size
-    if getattr(args, "backend", None) is not None:
-        values["backend"] = {"dmap": "dmap_enkf"}.get(args.backend,
-                                                      args.backend)
+    # flag overrides; the --backend flag spells dmap_enkf "dmap"
+    for key in ("seed", "dt", "ensemble_size", "backend"):
+        flag = getattr(args, key, None)
+        if flag is not None:
+            values[key] = "dmap_enkf" if flag == "dmap" else flag
     try:
         cfg = _dict_to_config(values, init_cov=defaults.init_cov)
     except (MkvError, ValueError) as exc:
@@ -228,6 +213,18 @@ def _run_solve(scenario, problem, cfg, values, outdir, command):
     return sched
 
 
+def _saved_or_solved(scenario, problem, cfg, values, outdir, command):
+    """The law in ``outdir``'s control.csv, solving for it when absent."""
+    control_path = os.path.join(outdir, "control.csv")
+    if not os.path.isfile(control_path):
+        return _run_solve(scenario, problem, cfg, values, outdir, command)
+    sched = read_control_csv(control_path)
+    if sched.shifts.shape[1] != problem.dim_x:
+        raise ConfigError(f"{control_path}: control law of dimension "
+                          f"{sched.shifts.shape[1]}, expected {problem.dim_x}")
+    return sched
+
+
 def cmd_solve(args):
     scenario, problem, cfg, values = resolve_run(args)
     _ensure_outdir(args.out)
@@ -238,12 +235,8 @@ def cmd_solve(args):
 def cmd_simulate(args):
     scenario, problem, cfg, values = resolve_run(args)
     _ensure_outdir(args.out)
-    control_path = os.path.join(args.out, "control.csv")
-    if os.path.isfile(control_path):
-        sched = read_control_csv(control_path)
-    else:
-        sched = _run_solve(scenario, problem, cfg, values, args.out,
-                           "simulate")
+    sched = _saved_or_solved(scenario, problem, cfg, values, args.out,
+                             "simulate")
     rng = np.random.default_rng(cfg.seed + 1)
     times, states, controls = simulate_controlled(
         problem, sched, rho=args.rho, n_paths=1, rng=rng)
@@ -265,12 +258,8 @@ def cmd_cost(args):
             times=times, gains=np.zeros((n + 1, d, d)),
             shifts=np.zeros((n + 1, d)))
     else:
-        control_path = os.path.join(args.out, "control.csv")
-        if os.path.isfile(control_path):
-            sched = read_control_csv(control_path)
-        else:
-            sched = _run_solve(scenario, problem, cfg, values, args.out,
-                               "cost")
+        sched = _saved_or_solved(scenario, problem, cfg, values, args.out,
+                                 "cost")
     rng = np.random.default_rng(cfg.seed + 2)
     mean, stderr = estimate_cost(problem, sched, n_paths=args.paths, rng=rng,
                                  rho=args.rho)
@@ -335,13 +324,10 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (NumericalBlowupError, ConvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except MkvError as exc:
+    except (ConfigError, MkvError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

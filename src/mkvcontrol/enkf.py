@@ -29,9 +29,8 @@ import numpy as np
 
 from .errors import NumericalBlowupError
 from .problem import ControlProblem
-# map_moments stays bound here for perfbench's binding checks
 from .stats import (Ensemble, EmpiricalMoments, _require_size, block_or_state,
-                    map_moments)
+                    cross_cov, map_moments, matvec_columns)
 
 
 @dataclass
@@ -44,8 +43,8 @@ class GainPair:
 
 def _grad_log_group(sig, div, mom: EmpiricalMoments, x):
     """div Sigma - Sigma C^-1 (x - m) on a (d, M) block, given the
-    stacked Sigma (d, d, M) and div Sigma (d, M) at the block."""
-    return div - np.einsum("ijm,jm->im", sig, mom.solve(x - mom.mean[:, None]))
+    ``p.stack`` of Sigma and div Sigma (d, M) at the block."""
+    return div - matvec_columns(sig, mom.solve(x - mom.mean[:, None]))
 
 
 @block_or_state
@@ -75,7 +74,7 @@ def forward_drift(p: ControlProblem, x, bar: EmpiricalMoments, Cxh, mh,
     b(x) - (1-eps)/2 * (div Sigma - Sigma C^-1 (x - m)) - g_bar_kf(x),
     with ``h`` passed on to ``g_bar_kf``.
     """
-    group = _grad_log_group(p.evaluate("sigma_sq", x),
+    group = _grad_log_group(p.stack("sigma_sq", x),
                             p.evaluate("div_sigma", x), bar, x)
     return _forward_drift(p, x, group, Cxh, mh, eps_noise, h)
 
@@ -93,16 +92,14 @@ def terminal_update(p: ControlProblem, e: Ensemble, delta: float, rng
     _require_size(e)
     x = e.particles
     xi_vals = p.evaluate("terminal_map", x)
-    dx = x - x.mean(axis=1)[:, None]
-    dxi = xi_vals - xi_vals.mean(axis=1)[:, None]
-    C_xxi = (dx @ dxi.T) / (e.size - 1)
-    C_xixi = (dxi @ dxi.T) / (e.size - 1)
+    C_xxi = cross_cov(e, xi_vals)
+    _, C_xixi = map_moments(e, xi_vals)
     K = np.linalg.solve((C_xixi + p.terminal_weight).T, C_xxi.T).T
     noise = rng.standard_normal((p.dim_xi, e.size))
     updated = x - K @ (xi_vals + p.v_sqrt @ noise)
     if not np.all(np.isfinite(updated)):
         raise NumericalBlowupError("non-finite terminal EnKF update")
-    return Ensemble(particles=updated, time=e.time)
+    return Ensemble._unchecked(updated, e.time)
 
 
 def gain_from_moments(bar: EmpiricalMoments, tilde: EmpiricalMoments
@@ -133,8 +130,8 @@ def g_tilde_kf(p: ControlProblem, x, tilde: EmpiricalMoments, gain: GainPair):
     """
     m = tilde.mean
     core = _frozen_core(p, m)
-    return 0.5 * tilde.cov @ gain.A @ core @ (
-        gain.A @ (x + m[:, None]) + 2.0 * gain.c[:, None])
+    v = matvec_columns(gain.A, x + m[:, None]) + 2.0 * gain.c[:, None]
+    return matvec_columns(0.5 * tilde.cov @ gain.A @ core, v)
 
 
 def _reverse_drift(p: ControlProblem, x, bar, tilde: EmpiricalMoments,
@@ -142,7 +139,7 @@ def _reverse_drift(p: ControlProblem, x, bar, tilde: EmpiricalMoments,
     """``reverse_drift`` of a (d, M) block with ``correction`` in place of
     g_tilde_kf(x).  ``bar=None`` drops the forward group, which the
     split-step sweep replaces by its hull projection."""
-    sig = p.evaluate("sigma_sq", x)
+    sig = p.stack("sigma_sq", x)
     div = p.evaluate("div_sigma", x)
     out = -p.evaluate("drift", x)
     if bar is not None:

@@ -80,7 +80,7 @@ def stationary_solve(p: ControlProblem, hcfg: HorizonConfig):
     fwd_steps = 0
     fwd_residual = np.inf
     for step in range(max_steps):
-        e = Ensemble(particles=x, time=step * dt)
+        e = Ensemble._unchecked(x, step * dt)
         bar = moments(e, cfg.inflation)
         if bar_prev is not None:
             fwd_residual = _moment_residual(bar_prev, bar)
@@ -106,7 +106,7 @@ def stationary_solve(p: ControlProblem, hcfg: HorizonConfig):
     tilde_cov_history = []
     for step in range(max_steps):
         with _located(step, step * dt):
-            tilde = moments(Ensemble(particles=y, time=0.0), cfg.inflation)
+            tilde = moments(Ensemble._unchecked(y), cfg.inflation)
             tilde_cov_history.append(tilde.cov.copy())
             if tilde_prev is not None:
                 rev_residual = _moment_residual(tilde_prev, tilde)

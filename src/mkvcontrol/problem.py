@@ -16,17 +16,18 @@ through ``ControlProblem.evaluate``: in one call when the problem
 declares ``block_maps``, else one state at a time.  The cost and
 control functions take one state, or a (dim_x, P) block of states, for
 which they return one value per column, bitwise what the one-state
-call gives.
+call gives.  The weights S, V and R are inverted once, from their
+Cholesky factors, and applied through ``stats.matvec``, so a block's
+columns round as one state's vector does.
 """
 
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DimensionError, TimeOutOfRangeError
-from .stats import map_block, matvec_columns
+from .stats import map_block, matvec, matvec_columns, spd_inverse
 
 Vector = np.ndarray
 Matrix = np.ndarray
@@ -43,17 +44,18 @@ MAP_SHAPES = {
 }
 
 
-def _spd_factor(name, w):
+def _weight_inverse(name, w):
     w = np.atleast_2d(np.asarray(w, dtype=float))
     if w.shape[0] != w.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise DimensionError(f"{name} must be finite")
     if not np.allclose(w, w.T, atol=1e-12 * (1.0 + np.abs(w).max())):
         raise DimensionError(f"{name} must be symmetric")
     try:
-        factor = cho_factor(w, lower=True)
+        return w, spd_inverse(w)
     except np.linalg.LinAlgError as exc:
         raise DimensionError(f"{name} must be positive definite") from exc
-    return w, factor
 
 
 @dataclass
@@ -103,11 +105,11 @@ class ControlProblem:
             raise DimensionError(
                 f"start has shape {self.start.shape}, expected ({self.dim_x},)")
 
-        self.running_weight, self._s_factor = _spd_factor(
+        self.running_weight, self._s_inv = _weight_inverse(
             "running_weight S", self.running_weight)
-        self.terminal_weight, self._v_factor = _spd_factor(
+        self.terminal_weight, self._v_inv = _weight_inverse(
             "terminal_weight V", self.terminal_weight)
-        self.control_weight, self._r_factor = _spd_factor(
+        self.control_weight, self._r_inv = _weight_inverse(
             "control_weight R", self.control_weight)
         if self.running_weight.shape != (self.dim_h, self.dim_h):
             raise DimensionError("running_weight shape does not match dim_h")
@@ -121,7 +123,7 @@ class ControlProblem:
 
         # symmetric square root of V, used by the stochastic EnKF update
         vals, vecs = np.linalg.eigh(self.terminal_weight)
-        self._v_sqrt = (vecs * np.sqrt(vals)) @ vecs.T
+        self.v_sqrt = (vecs * np.sqrt(vals)) @ vecs.T
 
         # probe the model maps once at the start point
         for name in MAP_SHAPES:
@@ -143,31 +145,32 @@ class ControlProblem:
                                  f"{out.shape[:-1]}, expected {shape}")
         return out
 
+    def stack(self, name, x):
+        """``evaluate(name, x)`` as a C-ordered stack along a first axis
+        over the columns of ``x``: the layout one state's value has."""
+        out = self.evaluate(name, x)
+        return np.ascontiguousarray(out.transpose(-1, *range(out.ndim - 1)))
+
     def sigma_sq(self, x):
         """Sigma(x) = sigma(x) sigma(x)^T at one state, or as a
         (dim_x, dim_x, M) stack at the columns of a (dim_x, M) block."""
         x = np.asarray(x, dtype=float)
         if x.ndim == 2:
-            s = np.ascontiguousarray(self.evaluate("noise", x)
-                                     .transpose(2, 0, 1))
+            s = self.stack("noise", x)
             return (s @ s.transpose(0, 2, 1)).transpose(1, 2, 0)
         s = np.asarray(self.noise(x), dtype=float)
         return s @ s.T
 
     def solve_s(self, y):
-        """S^-1 y via the cached Cholesky factor."""
-        return cho_solve(self._s_factor, np.asarray(y, dtype=float))
+        """S^-1 y for a vector or each column of a block, by the cached
+        inverse."""
+        return matvec(self._s_inv, y)
 
     def solve_v(self, y):
-        return cho_solve(self._v_factor, np.asarray(y, dtype=float))
+        return matvec(self._v_inv, y)
 
     def solve_r(self, y):
-        return cho_solve(self._r_factor, np.asarray(y, dtype=float))
-
-    @property
-    def v_sqrt(self):
-        """Symmetric square root of the terminal weight V."""
-        return self._v_sqrt
+        return matvec(self._r_inv, y)
 
     def check_state(self, x):
         """``x`` as a (dim_x,) state, or as a (dim_x, P) block when 2-D."""
@@ -207,22 +210,15 @@ class AffineControlSchedule:
         if sym_err > 1e-8 * scale:
             raise DimensionError("schedule gains must be symmetric")
 
-    @property
-    def t_end(self):
-        return self.times[-1]
-
-    def index_at(self, t):
+    def at(self, t):
+        """(A_t, c_t) selected by the left-closed lookup rule."""
         t0, t1 = self.times[0], self.times[-1]
         slack = 1e-9 * max(1.0, abs(t1))
         if t < t0 - slack or t > t1 + slack:
             raise TimeOutOfRangeError(
                 f"t={t} outside schedule window [{t0}, {t1}]")
         idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        return min(max(idx, 0), len(self.times) - 1)
-
-    def at(self, t):
-        """(A_t, c_t) selected by the left-closed lookup rule."""
-        idx = self.index_at(t)
+        idx = min(max(idx, 0), len(self.times) - 1)
         return self.gains[idx], self.shifts[idx]
 
 
@@ -241,12 +237,6 @@ def _state_cost(p, name, solve, x):
     x = p.check_state(x)
     v = p.evaluate(name, x.reshape(p.dim_x, -1))
     return _half_quad(solve, v, x.ndim == 1)
-
-
-def gain_stack(p: ControlProblem, x):
-    """G at each column of the (d, P) block ``x``, as a C-ordered
-    (P, d, u) stack: the layout one state's G has."""
-    return np.ascontiguousarray(p.evaluate("gain", x).transpose(2, 0, 1))
 
 
 def running_cost(p: ControlProblem, x):
@@ -269,13 +259,13 @@ def control_cost(p: ControlProblem, u):
 def apply_control(p: ControlProblem, sched: AffineControlSchedule, t, x,
                   gains=None):
     """Evaluate u_t(x) = R G(x)^T (A_t x + c_t).  ``gains`` is
-    ``gain_stack(p, x)`` of a block ``x``, when the caller has it."""
+    ``p.stack("gain", x)`` of a block ``x``, when the caller has it."""
     x = p.check_state(x)
     block = x.reshape(p.dim_x, -1)
     A, c = sched.at(t)
     v = matvec_columns(A, block) + c[:, None]
     if gains is None:
-        gains = gain_stack(p, block)
+        gains = p.stack("gain", block)
     gt = gains.transpose(0, 2, 1)
     u = matvec_columns(p.control_weight, matvec_columns(gt, v))
     return u if x.ndim == 2 else u[:, 0]

@@ -67,23 +67,30 @@ def _pendulum_config():
         inflation=1e-4, backend="enkf", seed=0)
 
 
-def _langevin_problem():
+def _scalar_problem(drift, running_map, running_weight, horizon, start):
+    """A 1-D problem with G = sigma = 1, xi(x) = x and R = V = 1."""
     return ControlProblem(
         dim_x=1, dim_u=1, dim_b=1, dim_h=1, dim_xi=1,
-        drift=lambda x: -(x ** 3 - x),
+        drift=drift,
         gain=_constant([[1.0]]),
         noise=_constant([[1.0]]),
-        running_map=lambda x: np.asarray(x, dtype=float),
-        running_weight=np.array([[0.01]]),
+        running_map=running_map,
+        running_weight=np.array([[running_weight]]),
         terminal_map=lambda x: np.asarray(x, dtype=float),
         terminal_weight=np.array([[1.0]]),
-        # the control penalty weight is a modelling choice here; unit
-        # weight keeps the closed loop comfortably stabilising
         control_weight=np.array([[1.0]]),
-        horizon=30.0,
-        start=np.array([1.0]),
+        horizon=horizon,
+        start=np.array([start]),
         block_maps=True,
     )
+
+
+def _langevin_problem():
+    # the control penalty weight is a modelling choice here; unit
+    # weight keeps the closed loop comfortably stabilising
+    return _scalar_problem(lambda x: -(x ** 3 - x),
+                           lambda x: np.asarray(x, dtype=float),
+                           running_weight=0.01, horizon=30.0, start=1.0)
 
 
 def _langevin_config():
@@ -95,20 +102,9 @@ def _langevin_config():
 
 
 def _lq_problem(a=-0.5):
-    return ControlProblem(
-        dim_x=1, dim_u=1, dim_b=1, dim_h=1, dim_xi=1,
-        drift=lambda x: a * np.asarray(x, dtype=float),
-        gain=_constant([[1.0]]),
-        noise=_constant([[1.0]]),
-        running_map=lambda x: np.asarray(x, dtype=float),
-        running_weight=np.array([[1.0]]),
-        terminal_map=lambda x: np.asarray(x, dtype=float),
-        terminal_weight=np.array([[1.0]]),
-        control_weight=np.array([[1.0]]),
-        horizon=1.0,
-        start=np.array([1.0]),
-        block_maps=True,
-    )
+    return _scalar_problem(lambda x: a * np.asarray(x, dtype=float),
+                           lambda x: np.asarray(x, dtype=float),
+                           running_weight=1.0, horizon=1.0, start=1.0)
 
 
 def _lq_config():
@@ -120,20 +116,9 @@ def _lq_config():
 
 
 def _ou_problem():
-    return ControlProblem(
-        dim_x=1, dim_u=1, dim_b=1, dim_h=1, dim_xi=1,
-        drift=lambda x: -0.5 * np.asarray(x, dtype=float),
-        gain=_constant([[1.0]]),
-        noise=_constant([[1.0]]),
-        running_map=_constant([0.0]),
-        running_weight=np.array([[1.0]]),
-        terminal_map=lambda x: np.asarray(x, dtype=float),
-        terminal_weight=np.array([[1.0]]),
-        control_weight=np.array([[1.0]]),
-        horizon=1.0,
-        start=np.array([0.0]),
-        block_maps=True,
-    )
+    return _scalar_problem(lambda x: -0.5 * np.asarray(x, dtype=float),
+                           _constant([0.0]),
+                           running_weight=1.0, horizon=1.0, start=0.0)
 
 
 def _ou_config():
@@ -145,33 +130,24 @@ def _ou_config():
         init_cov=np.array([[1.0]]))
 
 
-REGISTRY = {
-    "pendulum": Scenario(
-        name="pendulum",
-        description="Swing-up of a noisy pendulum to the inverted "
-                    "equilibrium over T=1 (2D state, EnKF backend, M=3).",
-        make_problem=_pendulum_problem,
-        default_config=_pendulum_config),
-    "langevin": Scenario(
-        name="langevin",
-        description="Stabilisation of the unstable equilibrium of "
-                    "double-well Langevin dynamics over T=30 "
-                    "(diffusion-map backend, M=8).",
-        make_problem=_langevin_problem,
-        default_config=_langevin_config),
-    "lq": Scenario(
-        name="lq",
-        description="Scalar linear-quadratic validation problem with a "
-                    "Riccati reference solution.",
-        make_problem=_lq_problem,
-        default_config=_lq_config),
-    "ou_diffusion": Scenario(
-        name="ou_diffusion",
-        description="Ornstein-Uhlenbeck process with zero running cost "
-                    "started from its stationary Gaussian.",
-        make_problem=_ou_problem,
-        default_config=_ou_config),
-}
+REGISTRY = {sc.name: sc for sc in (
+    Scenario("pendulum",
+             "Swing-up of a noisy pendulum to the inverted equilibrium "
+             "over T=1 (2D state, EnKF backend, M=3).",
+             _pendulum_problem, _pendulum_config),
+    Scenario("langevin",
+             "Stabilisation of the unstable equilibrium of double-well "
+             "Langevin dynamics over T=30 (diffusion-map backend, M=8).",
+             _langevin_problem, _langevin_config),
+    Scenario("lq",
+             "Scalar linear-quadratic validation problem with a Riccati "
+             "reference solution.",
+             _lq_problem, _lq_config),
+    Scenario("ou_diffusion",
+             "Ornstein-Uhlenbeck process with zero running cost started "
+             "from its stationary Gaussian.",
+             _ou_problem, _ou_config),
+)}
 
 
 def get_scenario(name: str) -> Scenario:

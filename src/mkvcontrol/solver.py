@@ -16,6 +16,9 @@ block: ``_forward_step`` and ``_reverse_sweep`` call their drift once
 per step and share ``_euler_step``, which names the first non-finite
 particle.  ``horizon.stationary_solve`` reuses them, and
 ``simulate_controlled`` steps its block of paths with ``_euler_step``.
+Since ``_euler_step`` checks every new block, the sweeps wrap their
+blocks in ``Ensemble`` without its finiteness scan; the initial
+particles are scanned once, in ``_init_particles``.
 """
 
 import contextlib
@@ -27,7 +30,7 @@ import numpy as np
 from . import dmap, enkf
 from .errors import DimensionError, NumericalBlowupError
 from .problem import (AffineControlSchedule, ControlProblem, apply_control,
-                      control_cost, gain_stack, running_cost, terminal_cost)
+                      control_cost, running_cost, terminal_cost)
 from .stats import (Ensemble, EmpiricalMoments, cross_cov, map_moments,
                     matvec_columns, moments)
 
@@ -102,11 +105,14 @@ class SolverConfig:
 
 @dataclass
 class SweepRecord:
-    """Per-grid-point moments, gains, and solver diagnostics."""
+    """Per-grid-point moments, gains, and solver diagnostics.  The reverse
+    sweep reuses the forward sweep's inverses of ``bar_covs``, kept in
+    ``bar_invs``, and releases them and ``forward_operators`` at its end."""
 
     times: np.ndarray
     bar_means: np.ndarray = None
     bar_covs: np.ndarray = None
+    bar_invs: Optional[np.ndarray] = None
     tilde_means: np.ndarray = None
     tilde_covs: np.ndarray = None
     gains: np.ndarray = None
@@ -133,19 +139,20 @@ class SweepRecord:
         if self.forward_ensembles is not None:
             out.forward_ensembles = [e for e, k in
                                      zip(self.forward_ensembles, keep) if k]
-        out.sinkhorn_residuals = list(self.sinkhorn_residuals)
-        out.hull_min_weight = list(self.hull_min_weight)
-        out.hull_sum_deviation = list(self.hull_sum_deviation)
+        for name in ("sinkhorn_residuals", "hull_min_weight",
+                     "hull_sum_deviation"):
+            setattr(out, name, list(getattr(self, name)))
         return out
 
 
 def _init_particles(p: ControlProblem, cfg: SolverConfig, rng):
+    """The initial (d, M) block, scanned once for non-finite values."""
     x = np.tile(p.start[:, None], (1, cfg.ensemble_size))
     if cfg.init_cov is not None:
         chol = np.linalg.cholesky(np.atleast_2d(np.asarray(cfg.init_cov,
                                                            dtype=float)))
         x = x + chol @ rng.standard_normal((p.dim_x, cfg.ensemble_size))
-    return x
+    return Ensemble(particles=x).particles
 
 
 @contextlib.contextmanager
@@ -210,14 +217,17 @@ def forward_sweep(p: ControlProblem, cfg: SolverConfig, rng):
     times = np.arange(n + 1) * cfg.dt
     record = SweepRecord(times=times,
                          bar_means=np.zeros((n + 1, d)),
-                         bar_covs=np.zeros((n + 1, d, d)))
+                         bar_covs=np.zeros((n + 1, d, d)),
+                         bar_invs=np.zeros((n + 1, d, d)))
     if cfg.backend == "dmap_enkf":
         record.forward_ensembles, record.forward_operators = [], []
 
     x = _init_particles(p, cfg, rng)
     for step in range(n + 1):
-        e = Ensemble(particles=x, time=times[step])
-        bar = moments(e, cfg.inflation)
+        e = Ensemble._unchecked(x, times[step])
+        with _located(step, times[step]):
+            bar = moments(e, cfg.inflation)
+            record.bar_invs[step] = bar.inv()
         record.bar_means[step] = bar.mean
         record.bar_covs[step] = bar.cov
         if record.forward_ensembles is not None:
@@ -233,7 +243,7 @@ def forward_sweep(p: ControlProblem, cfg: SolverConfig, rng):
             record.forward_operators.append(op)
         x = _forward_step(p, cfg, e, bar, step, rng, op,
                           record.sinkhorn_residuals)
-    return record, Ensemble(particles=x, time=p.horizon)
+    return record, Ensemble._unchecked(x, p.horizon)
 
 
 def _reverse_sweep(p: ControlProblem, cfg: SolverConfig, record: SweepRecord,
@@ -250,12 +260,14 @@ def _reverse_sweep(p: ControlProblem, cfg: SolverConfig, record: SweepRecord,
     record.gains = np.zeros((n + 1, d, d))
     record.shifts = np.zeros((n + 1, d))
 
+    invs = record.bar_invs
     x = terminal.particles.copy()
     for back, step in enumerate(range(n, -1, -1)):
         with _located(step, record.times[step]):
-            tilde = moments(Ensemble(particles=x), cfg.inflation)
-            bar = EmpiricalMoments(mean=record.bar_means[step],
-                                   cov=record.bar_covs[step])
+            tilde = moments(Ensemble._unchecked(x), cfg.inflation)
+            bar = EmpiricalMoments(
+                mean=record.bar_means[step], cov=record.bar_covs[step],
+                cov_inv=None if invs is None else invs[step])
             gain = enkf.gain_from_moments(bar, tilde)
             record.tilde_means[step] = tilde.mean
             record.tilde_covs[step] = tilde.cov
@@ -272,7 +284,7 @@ def _reverse_sweep(p: ControlProblem, cfg: SolverConfig, record: SweepRecord,
             x = _euler_step(p, x, drift, eps, cfg.dt, rng.standard_normal)
             if split:
                 x = _project(record, step - 1, x)
-    record.forward_operators = None
+    record.forward_operators = record.bar_invs = None
     return record
 
 
@@ -365,7 +377,7 @@ def simulate_controlled(p: ControlProblem, sched: AffineControlSchedule,
     x = np.tile(start[:, None], (1, n_paths))
     for step in range(n + 1):
         with _located(step, times[step]):
-            gains = gain_stack(p, x)
+            gains = p.stack("gain", x)
             u = apply_control(p, sched, times[step], x, gains)
             states[:, step] = x.T
             controls[:, step] = u.T

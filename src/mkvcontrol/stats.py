@@ -6,6 +6,12 @@ dimensions is a (d, M) array.  All covariances use the unbiased
 additive inflation ``delta * I`` so that it stays invertible even for
 very small ensembles.
 
+``EmpiricalMoments`` inverts its covariance once, from the Cholesky
+factor, and solves by multiplying with that inverse through ``matvec``,
+so each column of a (d, M) block rounds as the same vector does.  A
+covariance that is not finite or not positive definite raises
+``NumericalBlowupError``.
+
 ``map_block`` is the one place where a model map meets a block of
 states.  A map written for one state is evaluated column by column
 through ``map_columns``; a map declared to take a (d, M) block is
@@ -18,7 +24,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (DimensionError, InsufficientEnsembleError,
                      NumericalBlowupError)
@@ -61,6 +66,21 @@ def matvec_columns(m, v):
     return np.matmul(m, v.T[..., None])[..., 0].T
 
 
+def matvec(m, y):
+    """``m @ y`` for a vector ``y``, or ``m`` times each column of a
+    (c, P) block ``y``; a column rounds as the same vector does."""
+    y = np.asarray(y, dtype=float)
+    return matvec_columns(m, y.reshape(y.shape[0], -1)).reshape(y.shape)
+
+
+def spd_inverse(c):
+    """Inverse L^-T L^-1 of the symmetric positive-definite ``c`` from its
+    Cholesky factor L; raises ``np.linalg.LinAlgError`` when ``c`` is not
+    positive definite."""
+    inv_l = np.linalg.inv(np.linalg.cholesky(c))
+    return inv_l.T @ inv_l
+
+
 def block_or_state(fn):
     """Let ``fn(p, x, ...)``, written for a (d, M) block ``x``, also take
     a single (d,) state, for which it returns a (d,) result."""
@@ -89,6 +109,13 @@ class Ensemble:
         if not np.all(np.isfinite(self.particles)):
             raise DimensionError("particles must be finite")
 
+    @classmethod
+    def _unchecked(cls, particles, time=0.0):
+        """A (d, M) float block known to be finite, without the scan."""
+        e = cls.__new__(cls)
+        e.particles, e.time = particles, time
+        return e
+
     @property
     def dim(self):
         return self.particles.shape[0]
@@ -101,27 +128,37 @@ class Ensemble:
 @dataclass
 class EmpiricalMoments:
     """Empirical mean/covariance of an ensemble; ``cov`` already includes
-    any additive inflation."""
+    any additive inflation.  ``cov_inv`` is cov^-1 when the caller
+    already has it, else it is computed on first use."""
 
     mean: np.ndarray
     cov: np.ndarray
-    _factor: tuple = field(default=None, repr=False, compare=False)
+    cov_inv: np.ndarray = field(default=None, repr=False, compare=False)
 
-    def solve(self, y):
-        """cov^-1 y via a cached Cholesky factorization; ``y`` may be a
-        vector or a (d, M) block."""
-        if self._factor is None:
+    def _inverse(self):
+        if self.cov_inv is None:
+            if not np.all(np.isfinite(self.cov)):
+                raise NumericalBlowupError("covariance is not finite")
             try:
-                self._factor = cho_factor(self.cov, lower=True)
+                self.cov_inv = spd_inverse(self.cov)
             except np.linalg.LinAlgError as exc:
                 raise NumericalBlowupError(
                     "covariance is not positive definite; raise the "
                     "inflation or the ensemble size") from exc
-        return cho_solve(self._factor, np.asarray(y, dtype=float))
+        return self.cov_inv
+
+    def solve(self, y):
+        """cov^-1 y for a vector or each column of a (d, M) block."""
+        return matvec(self._inverse(), y)
 
     def inv(self):
-        d = self.cov.shape[0]
-        return self.solve(np.eye(d))
+        """cov^-1, the cached array itself."""
+        return self._inverse()
+
+
+def _row_means(a):
+    """``a.mean(axis=1)``, bitwise, without np.mean's Python overhead."""
+    return a.sum(axis=1) / a.shape[1]
 
 
 def _require_size(e: Ensemble):
@@ -136,9 +173,10 @@ def moments(e: Ensemble, delta: float = 0.0) -> EmpiricalMoments:
     if delta < 0:
         raise DimensionError("inflation must be nonnegative")
     x = e.particles
-    m = x.mean(axis=1)
+    m = _row_means(x)
     dx = x - m[:, None]
-    cov = (dx @ dx.T) / (e.size - 1) + delta * np.eye(e.dim)
+    cov = (dx @ dx.T) / (e.size - 1)
+    cov.ravel()[::e.dim + 1] += delta
     return EmpiricalMoments(mean=m, cov=cov)
 
 
@@ -159,8 +197,8 @@ def cross_cov(e: Ensemble, f) -> np.ndarray:
     _require_size(e)
     x = e.particles
     fx = _map_values(e, f)
-    dx = x - x.mean(axis=1)[:, None]
-    df = fx - fx.mean(axis=1)[:, None]
+    dx = x - _row_means(x)[:, None]
+    df = fx - _row_means(fx)[:, None]
     return (dx @ df.T) / (e.size - 1)
 
 
@@ -169,6 +207,6 @@ def map_moments(e: Ensemble, f):
     is a one-state map or its (k, M) values at the particles."""
     _require_size(e)
     fx = _map_values(e, f)
-    mf = fx.mean(axis=1)
+    mf = _row_means(fx)
     df = fx - mf[:, None]
     return mf, (df @ df.T) / (e.size - 1)

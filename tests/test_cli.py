@@ -2,9 +2,12 @@
 
 import dataclasses
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mkvcontrol import NoiseSchedule, Scenario, SolverConfig, scenarios
 from mkvcontrol.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, build_parser,
@@ -111,6 +114,29 @@ def test_singular_covariance_message_names_step(tmp_path, capsys):
                    "--out", str(tmp_path)) == EXIT_NUMERICAL
     assert "numerical failure: step 0 (t=0): covariance is not positive " \
         "definite" in capsys.readouterr().err
+
+
+def test_covariance_overflow_is_numerical_failure_naming_step(tmp_path,
+                                                             capsys):
+    # at dt = 0.2 the langevin particles stay finite while their
+    # covariance overflows; both backends must report where
+    for backend in ("enkf", "dmap"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli("solve", "--scenario", "langevin", "--dt", "0.2",
+                           "--backend", backend, "--out", str(tmp_path))
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical failure: step 8 (t=1.6): covariance is not " \
+            "finite" in err
+
+
+def test_control_law_of_another_dimension_is_config_error(tmp_path, capsys):
+    assert run_cli(*solve_args(tmp_path)) == EXIT_OK
+    code = run_cli("cost", "--scenario", "pendulum", "--paths", "2",
+                   "--out", str(tmp_path))
+    assert code == EXIT_CONFIG
+    assert "control.csv: control law of dimension 1, expected 2" in \
+        capsys.readouterr().err
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -230,3 +256,29 @@ def test_mkv_threads_env_default():
     os.environ.pop("MKV_THREADS", None)
     run_cli("scenarios")
     assert os.environ["MKV_THREADS"] == "1"
+
+
+# Exit-code contract: over scenario x backend x dt x ensemble size x
+# inflation x seed, `solve` returns 0, 2 or 3 and raises nothing.  The
+# steps are large (dt >= 0.1, so at most 300 langevin steps and 10 on
+# the other scenarios), which keeps the 50 examples to about a second.
+@settings(max_examples=50, deadline=None)
+@given(scenario=st.sampled_from(["lq", "langevin", "pendulum",
+                                 "ou_diffusion"]),
+       backend=st.sampled_from(["enkf", "dmap"]),
+       dt=st.one_of(st.sampled_from([0.2, 0.5]), st.floats(0.1, 2.0)),
+       ensemble_size=st.integers(1, 8),
+       inflation=st.sampled_from(["0", "1e-6", "1e-2", "nan", "-1"]),
+       seed=st.integers(0, 3))
+def test_solve_exit_codes(scenario, backend, dt, ensemble_size, inflation,
+                          seed):
+    with tempfile.TemporaryDirectory() as out:
+        cfg = os.path.join(out, "run.ini")
+        with open(cfg, "w") as fh:
+            fh.write(f"[solver]\ninflation = {inflation}\n")
+        with np.errstate(all="ignore"):
+            code = run_cli("solve", "--scenario", scenario, "--config", cfg,
+                           "--backend", backend, "--dt", repr(dt),
+                           "--ensemble-size", str(ensemble_size),
+                           "--seed", str(seed), "--out", out)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)

@@ -3,6 +3,8 @@ the affine gain extraction."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mkvcontrol import (ControlProblem, Ensemble, EmpiricalMoments, GainPair,
                         forward_drift, g_bar_kf, g_tilde_kf,
@@ -99,6 +101,25 @@ def test_gain_antisymmetric_under_exchange():
     g2 = gain_from_moments(tilde, bar)
     assert np.allclose(g1.A, -g2.A)
     assert np.allclose(g1.c, -g2.c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 3), m=st.integers(2, 8),
+       delta=st.sampled_from([1e-6, 1e-2, 1.0]),
+       scale=st.floats(0.05, 20.0), seed=st.integers(0, 2 ** 16))
+def test_gain_from_random_moment_pairs_is_symmetric(d, m, delta, scale, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((d, m))
+    bar = moments(Ensemble(particles=x), delta)
+    tilde = moments(Ensemble(particles=scale * x + rng.standard_normal(
+        (d, m))), delta)
+    g = gain_from_moments(bar, tilde)
+    assert np.array_equal(g.A, g.A.T)
+    want = np.linalg.inv(bar.cov) - np.linalg.inv(tilde.cov)
+    conds = np.linalg.cond(bar.cov) + np.linalg.cond(tilde.cov)
+    scale_a = np.abs(np.linalg.inv(bar.cov)).max() \
+        + np.abs(np.linalg.inv(tilde.cov)).max()
+    assert np.abs(g.A - want).max() <= 1e-13 * conds * scale_a
 
 
 def test_g_tilde_kf_vanishing_core():

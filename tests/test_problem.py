@@ -76,6 +76,12 @@ def test_nonspd_weight_rejected():
         scalar_problem(control_weight=np.array([[0.0]]))
 
 
+def test_non_finite_weight_rejected():
+    for w in (np.inf, np.nan):
+        with pytest.raises(DimensionError, match="must be finite"):
+            scalar_problem(running_weight=np.array([[w]]))
+
+
 def test_shape_mismatch_rejected():
     with pytest.raises(DimensionError):
         scalar_problem(gain=lambda x: np.array([[1.0], [0.0]]))

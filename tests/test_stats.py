@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mkvcontrol import (DimensionError, Ensemble, EmpiricalMoments,
-                        InsufficientEnsembleError, cross_cov, moments)
+                        InsufficientEnsembleError, NumericalBlowupError,
+                        cross_cov, moments)
 from mkvcontrol.stats import map_block, map_columns, map_moments
 
 
@@ -132,3 +135,85 @@ def test_map_block_result_is_c_contiguous():
     out = map_block(lambda y: y, x, block=True)
     assert out.flags.c_contiguous and out.tobytes() == \
         map_columns(lambda y: y, x).tobytes()
+
+
+def test_moments_inflate_the_diagonal_only():
+    x = np.random.default_rng(23).standard_normal((3, 5))
+    plain = moments(Ensemble(particles=x), 0.0).cov
+    assert np.array_equal(moments(Ensemble(particles=x), 0.25).cov,
+                          plain + 0.25 * np.eye(3))
+
+
+def test_non_finite_covariance_raises_numerical_blowup():
+    with pytest.raises(NumericalBlowupError, match="not finite"):
+        EmpiricalMoments(mean=np.zeros(1), cov=np.array([[np.inf]])).inv()
+    with pytest.raises(NumericalBlowupError, match="not finite"):
+        EmpiricalMoments(mean=np.zeros(2),
+                         cov=np.array([[1.0, np.nan], [np.nan, 1.0]])).solve(
+            np.ones(2))
+    # finite particles whose covariance overflows
+    e = Ensemble(particles=np.array([[-1e200, 1e200]]))
+    with np.errstate(over="ignore"):
+        mom = moments(e, 1e-6)
+    with pytest.raises(NumericalBlowupError, match="not finite"):
+        mom.solve(np.ones((1, 2)))
+
+
+def test_inverse_is_computed_once_and_given_inverse_is_used():
+    mom = moments(Ensemble(particles=np.array([[0.0, 1.0, 3.0]])), 0.0)
+    assert mom.inv() is mom.inv()
+    given_inv = np.array([[5.0]])
+    mom = EmpiricalMoments(mean=np.zeros(1), cov=np.array([[1.0]]),
+                           cov_inv=given_inv)
+    assert mom.solve(np.array([2.0]))[0] == 10.0
+
+
+def _spd(d, entries, floor):
+    """A symmetric positive-definite d x d matrix from d*d numbers."""
+    a = np.array(entries[:d * d]).reshape(d, d)
+    return a @ a.T + floor * np.eye(d)
+
+
+spd_cases = st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.just(d),
+    st.lists(st.floats(-3.0, 3.0), min_size=d * d, max_size=d * d),
+    st.sampled_from([1e-6, 1e-2, 1.0]),
+    st.integers(1, 6)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=spd_cases, seed=st.integers(0, 2 ** 16))
+def test_block_solve_equals_its_columns(case, seed):
+    d, entries, floor, m = case
+    mom = EmpiricalMoments(mean=np.zeros(d), cov=_spd(d, entries, floor))
+    y = np.random.default_rng(seed).standard_normal((d, m))
+    block = mom.solve(y)
+    columns = np.column_stack([mom.solve(y[:, i]) for i in range(m)])
+    assert block.shape == (d, m)
+    assert block.tobytes() == np.ascontiguousarray(columns).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=spd_cases, seed=st.integers(0, 2 ** 16))
+def test_solve_matches_numpy_solve(case, seed):
+    # backward error of the explicit inverse: a few ulps times cond(C)
+    d, entries, floor, m = case
+    cov = _spd(d, entries, floor)
+    mom = EmpiricalMoments(mean=np.zeros(d), cov=cov)
+    y = np.random.default_rng(seed).standard_normal((d, m))
+    want = np.linalg.solve(cov, y)
+    tol = 1e-13 * np.linalg.cond(cov) * np.abs(want).max()
+    assert np.abs(mom.solve(y) - want).max() <= tol
+    assert np.array_equal(mom.inv(), mom.inv().T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=spd_cases, shift=st.floats(1e-6, 1.0))
+def test_non_positive_definite_covariance_raises(case, shift):
+    # move the smallest eigenvalue to -shift times the largest one
+    d, entries, floor, _ = case
+    cov = _spd(d, entries, floor)
+    vals = np.linalg.eigvalsh(cov)
+    cov -= (vals[0] + shift * vals[-1]) * np.eye(d)
+    with pytest.raises(NumericalBlowupError, match="not positive definite"):
+        EmpiricalMoments(mean=np.zeros(d), cov=cov).solve(np.ones(d))
