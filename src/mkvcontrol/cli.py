@@ -323,7 +323,10 @@ def main(argv=None) -> int:
         "cost": cmd_cost,
     }
     try:
-        return handlers[args.command](args)
+        # the sweeps name non-finite values themselves (exit 3), so
+        # numpy's floating-point warnings would only precede that line
+        with np.errstate(all="ignore"):
+            return handlers[args.command](args)
     except (NumericalBlowupError, ConvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

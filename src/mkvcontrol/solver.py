@@ -182,9 +182,10 @@ def _euler_step(p: ControlProblem, x, drift, eps, dt, normal):
 
 
 def _forward_step(p: ControlProblem, cfg: SolverConfig, e: Ensemble,
-                  bar: EmpiricalMoments, step: int, rng, op=None,
+                  bar: EmpiricalMoments, step: int, dt: float, rng, op=None,
                   residuals=None):
-    """Advance the forward ensemble ``e`` (moments ``bar``) by one step.
+    """Advance the forward ensemble ``e`` (moments ``bar``) by one step
+    of size ``dt``.
 
     Given the ensemble's diffusion map ``op``, a step that is not fully
     noisy takes the grad-log group from it instead of the Gaussian
@@ -202,7 +203,7 @@ def _forward_step(p: ControlProblem, cfg: SolverConfig, e: Ensemble,
                                         cxh, mh, eps, h)
         else:
             drift = enkf.forward_drift(p, x, bar, cxh, mh, eps, h)
-        return _euler_step(p, x, drift, eps, cfg.dt, rng.standard_normal)
+        return _euler_step(p, x, drift, eps, dt, rng.standard_normal)
 
 
 def forward_sweep(p: ControlProblem, cfg: SolverConfig, rng):
@@ -241,7 +242,7 @@ def forward_sweep(p: ControlProblem, cfg: SolverConfig, rng):
                 cfg.kernel_scale(), cfg.sinkhorn_tol, cfg.sinkhorn_max_iter,
                 p.block_maps)
             record.forward_operators.append(op)
-        x = _forward_step(p, cfg, e, bar, step, rng, op,
+        x = _forward_step(p, cfg, e, bar, step, cfg.dt, rng, op,
                           record.sinkhorn_residuals)
     return record, Ensemble._unchecked(x, p.horizon)
 

@@ -8,9 +8,11 @@ path at a time.  It is kept here, outside the package, only so that
 tests can check that the block engine reproduces it.
 """
 
+import itertools
+
 import numpy as np
 
-from mkvcontrol import dmap
+from mkvcontrol import dmap, horizon
 from mkvcontrol.enkf import gain_from_moments, terminal_update
 from mkvcontrol.stats import (Ensemble, EmpiricalMoments, cross_cov,
                               map_moments, moments)
@@ -68,7 +70,8 @@ def _init(p, cfg, rng):
     return x
 
 
-def _forward_step(p, cfg, x, t, step, rng, residuals=None):
+def _forward_step(p, cfg, x, t, step, rng, residuals=None, dt=None):
+    dt = cfg.dt if dt is None else dt
     e = Ensemble(particles=x, time=t)
     bar = moments(e, cfg.inflation)
     eps = cfg.eps_noise_forward.at(step)
@@ -88,7 +91,7 @@ def _forward_step(p, cfg, x, t, step, rng, residuals=None):
     else:
         for i in range(x.shape[1]):
             drift[:, i] = forward_drift(p, x[:, i], bar, cxh, mh, eps)
-    return bar, _noise(p, x, x + cfg.dt * drift, eps, cfg.dt, rng)
+    return bar, _noise(p, x, x + dt * drift, eps, dt, rng)
 
 
 def solve(p, cfg):
@@ -146,38 +149,55 @@ def solve(p, cfg):
 
 
 def stationary_solve(p, hcfg):
-    """Forward then discounted reverse equilibration; returns the
-    stationary gain and the forward/reverse step counts."""
+    """Forward then discounted reverse equilibration in pseudo-time;
+    returns the stationary gain and the forward/reverse step counts."""
     cfg, dt = hcfg.base, hcfg.base.dt
-    max_steps = int(np.ceil(hcfg.max_time / dt))
+    tol = hcfg.equilibrium_tol
     streams = np.random.SeedSequence(cfg.seed).spawn(2)
     fwd_rng, rev_rng = (np.random.default_rng(s) for s in streams)
     x = _init(p, cfg, fwd_rng)
-    bar_prev = None
-    for fwd_steps in range(max_steps):
+    bar_prev, h, rate = None, dt, np.inf
+    for fwd_steps in itertools.count():
         bar = moments(Ensemble(particles=x), cfg.inflation)
-        if bar_prev is not None and fwd_steps > cfg.eps_noise_forward.n_first \
-                and _residual(bar_prev, bar) < hcfg.equilibrium_tol * dt:
-            break
+        if bar_prev is not None:
+            res = _residual(bar_prev, bar)
+            if fwd_steps > cfg.eps_noise_forward.n_first and res < tol * h:
+                break
+            noisy = cfg.eps_noise_forward.at(fwd_steps) > 0
+            h, rate = _next_size(hcfg, h, res / h, rate, noisy)
         bar_prev = bar
-        _, x = _forward_step(p, cfg, x, fwd_steps * dt, fwd_steps, fwd_rng)
+        _, x = _forward_step(p, cfg, x, 0.0, fwd_steps, fwd_rng, dt=h)
     bar_eq = moments(Ensemble(particles=x), cfg.inflation)
-    tilde_prev = None
-    for rev_steps in range(max_steps):
+    tilde_prev, h, rate = None, dt, np.inf
+    for rev_steps in itertools.count():
         tilde = moments(Ensemble(particles=x), cfg.inflation)
-        if tilde_prev is not None and \
-                _residual(tilde_prev, tilde) < hcfg.equilibrium_tol * dt:
-            break
+        eps = cfg.eps_noise_reverse.at(rev_steps)
+        if tilde_prev is not None:
+            res = _residual(tilde_prev, tilde)
+            if res < tol * h:
+                break
+            h, rate = _next_size(hcfg, h, res / h, rate, eps > 0)
         tilde_prev = tilde
         gain = gain_from_moments(bar_eq, tilde)
-        eps = cfg.eps_noise_reverse.at(rev_steps)
         new = np.column_stack([
-            x[:, i] + dt * reverse_drift(p, x[:, i], bar_eq, tilde, gain,
-                                         eps, hcfg.gamma)
+            x[:, i] + h * reverse_drift(p, x[:, i], bar_eq, tilde, gain,
+                                        eps, hcfg.gamma)
             for i in range(x.shape[1])])
-        x = _noise(p, x, new, eps, dt, rev_rng)
+        x = _noise(p, x, new, eps, h, rev_rng)
     tilde_eq = moments(Ensemble(particles=x), cfg.inflation)
     return gain_from_moments(bar_eq, tilde_eq), (fwd_steps, rev_steps)
+
+
+def _next_size(hcfg, h, rate, prev_rate, noisy):
+    """Switched evolution relaxation: grow 1.2x while the residual rate
+    falls, halve otherwise, within [dt, max(dt, horizon._MAX_STEP)]; a
+    noisy step keeps dt.  Returns the next size and the rate to compare
+    with."""
+    dt = hcfg.base.dt
+    if noisy:
+        return dt, rate
+    h = h * 1.2 if rate < prev_rate else h / 2
+    return min(max(h, dt), max(dt, horizon._MAX_STEP)), rate
 
 
 def _residual(prev, cur):

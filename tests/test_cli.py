@@ -2,6 +2,8 @@
 
 import dataclasses
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mkvcontrol
 from mkvcontrol import NoiseSchedule, Scenario, SolverConfig, scenarios
 from mkvcontrol.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, build_parser,
                             main, read_control_csv, resolve_run)
@@ -250,6 +253,22 @@ def test_backend_flag_normalisation():
     _, _, cfg, values = resolve_run(args)
     assert cfg.backend == "dmap_enkf"
     assert values["backend"] == "dmap_enkf"
+
+
+def test_numerical_failure_prints_only_its_line(tmp_path):
+    # the langevin covariance overflows at dt = 0.2; numpy's overflow
+    # warning must not precede the exit-3 line.  A child process shows
+    # stderr as a user sees it, past pytest's own warning capture.
+    src = os.path.dirname(os.path.dirname(mkvcontrol.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-m", "mkvcontrol.cli", "solve", "--scenario",
+         "langevin", "--dt", "0.2", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == EXIT_NUMERICAL
+    assert out.stderr.splitlines() == [
+        "numerical failure: step 8 (t=1.6): covariance is not finite"]
 
 
 def test_mkv_threads_env_default():

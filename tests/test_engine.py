@@ -20,6 +20,7 @@ from mkvcontrol import (AffineControlSchedule, ControlProblem, DimensionError,
                         get_scenario, moments, reverse_drift, running_cost,
                         simulate_controlled, solve, stationary_solve, stats,
                         terminal_cost)
+from mkvcontrol import horizon
 from mkvcontrol.problem import MAP_SHAPES
 from mkvcontrol.solver import forward_sweep, reverse_sweep_enkf
 from mkvcontrol.stats import map_columns
@@ -67,6 +68,22 @@ def test_stationary_solve_matches_per_particle_reference():
     assert (diag["forward_steps"], diag["reverse_steps"]) == want_steps
     _assert_match(gain.A, want_gain.A, 0.0)
     _assert_match(gain.c, want_gain.c, 0.0)
+
+
+def test_stationary_solve_at_max_step_dt_takes_fixed_steps(monkeypatch):
+    # a largest step of dt turns the step-size controller off: the step
+    # counts and the gain of the fixed-step loops, bit for bit
+    p = get_scenario("lq").make_problem()
+    base = get_scenario("lq").default_config()
+    base.ensemble_size = 16
+    monkeypatch.setattr(horizon, "_MAX_STEP", base.dt)
+    hcfg = HorizonConfig(gamma=0.5, base=base, equilibrium_tol=1e-3)
+    gain, diag = stationary_solve(p, hcfg)
+    assert (diag["forward_steps"], diag["reverse_steps"]) == (6574, 2346)
+    assert gain.A[0, 0].hex() == "-0x1.fe32ebb77dd40p-2"
+    assert gain.c[0].hex() == "0x1.146ce0aa80b96p-10"
+    assert np.all(diag["forward_step_sizes"] == base.dt)
+    assert np.all(diag["reverse_step_sizes"] == base.dt)
 
 
 def test_sweeps_invert_each_covariance_once_and_scan_only_the_start(

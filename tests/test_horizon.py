@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from mkvcontrol import (DimensionError, EmpiricalMoments, GainPair,
-                        HorizonConfig, SolverConfig, g_tilde_kf,
-                        g_tilde_kf_discounted, get_scenario, stationary_solve)
+from mkvcontrol import (ConvergenceError, DimensionError, EmpiricalMoments,
+                        GainPair, HorizonConfig, NoiseSchedule, SolverConfig,
+                        g_tilde_kf, g_tilde_kf_discounted, get_scenario,
+                        stationary_solve)
+from mkvcontrol import horizon
 
 
 def lq_problem():
@@ -66,12 +68,61 @@ def test_horizon_config_validation():
         HorizonConfig(gamma=1.0, base=base, equilibrium_tol=0.0)
 
 
-def test_stationary_solve_matches_algebraic_riccati():
-    p = lq_problem()
+@pytest.mark.parametrize("field,value", [
+    ("gamma", float("nan")), ("gamma", float("inf")),
+    ("equilibrium_tol", float("nan")), ("equilibrium_tol", float("inf")),
+    ("max_time", float("nan")), ("max_time", float("inf"))])
+def test_horizon_config_rejects_nonfinite_values(field, value):
+    kw = {"gamma": 0.5, "base": SolverConfig(dt=0.1, ensemble_size=4),
+          field: value}
+    with pytest.raises(DimensionError, match=field):
+        HorizonConfig(**kw)
+
+
+def lq_stationary_config(**kw):
     base = get_scenario("lq").default_config()
     base.ensemble_size = 16
+    return HorizonConfig(gamma=0.5, base=base, **kw)
+
+
+def test_stationary_step_sizes_grow_only_on_deterministic_steps():
+    # the first forward step and the first three reverse steps are noisy
+    hcfg = lq_stationary_config()
+    dt = hcfg.base.dt
+    hcfg.base.eps_noise_reverse = NoiseSchedule(first=0.5, n_first=3)
+    _, diag = stationary_solve(lq_problem(), hcfg)
+    fwd, rev = diag["forward_step_sizes"], diag["reverse_step_sizes"]
+    assert (len(fwd), len(rev)) == (diag["forward_steps"],
+                                    diag["reverse_steps"])
+    assert len(diag["tilde_cov_history"]) == len(rev) + 1
+    assert fwd[0] == dt and np.all(rev[:3] == dt)
+    for sizes in (fwd, rev):
+        assert np.all((sizes >= dt) & (sizes <= horizon._MAX_STEP))
+        assert sizes.max() == horizon._MAX_STEP
+        # each step is 1.2x or half the one before, unless clipped
+        ratio = sizes[1:] / sizes[:-1]
+        clipped = (sizes[1:] == dt) | (sizes[1:] == horizon._MAX_STEP)
+        assert np.all(np.isclose(ratio, 1.2) | np.isclose(ratio, 0.5)
+                      | clipped)
+
+
+def test_stationary_budget_is_pseudo_time():
+    # the forward loop equilibrates in a few hundred steps that span about
+    # 12.5 units of pseudo-time; a budget of 5 would allow 5000 steps of
+    # dt, but it is pseudo-time, so the loop runs out of it
+    hcfg = lq_stationary_config()
+    _, diag = stationary_solve(lq_problem(), hcfg)
+    assert diag["forward_steps"] < 5.0 / hcfg.base.dt
+    assert diag["forward_step_sizes"].sum() > 5.0
+    with pytest.raises(ConvergenceError, match="forward sweep") as info:
+        stationary_solve(lq_problem(), lq_stationary_config(max_time=5.0))
+    assert 0.0 < info.value.residual < np.inf
+
+
+def test_stationary_solve_matches_algebraic_riccati():
+    p = lq_problem()
     gamma = 0.5
-    gain, diag = stationary_solve(p, HorizonConfig(gamma=gamma, base=base))
+    gain, diag = stationary_solve(p, lq_stationary_config())
     # stationary Riccati for b = a x: R q^2 + (gamma - 2a) q - 1/S = 0,
     # with A_eq = -q
     a = -0.5

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mkvcontrol import (AffineControlSchedule, ControlProblem,
                         DimensionError, EmpiricalMoments, NoiseSchedule,
@@ -48,9 +50,26 @@ def test_config_grid_validation():
     with pytest.raises(DimensionError):
         cfg.n_steps(0.04)  # horizon shorter than half a step
     with pytest.raises(DimensionError):
+        cfg.n_steps(0.05)  # exactly half a step rounds (to even) to 0
+    with pytest.raises(DimensionError):
         SolverConfig(dt=0.1, ensemble_size=1)
     with pytest.raises(DimensionError):
         SolverConfig(dt=0.1, backend="spectral")
+
+
+@settings(max_examples=200, deadline=None)
+@given(dt=st.floats(1e-4, 10.0), horizon=st.floats(0.0, 1e3))
+def test_n_steps_on_random_grids(dt, horizon):
+    # the grid rounds to the nearest step count (exactly half a step
+    # rounds to 0 too, see test_config_grid_validation)
+    cfg = SolverConfig(dt=dt, ensemble_size=4)
+    if horizon <= dt / 2:
+        with pytest.raises(DimensionError):
+            cfg.n_steps(horizon)
+        return
+    n = cfg.n_steps(horizon)
+    assert n >= 1
+    assert abs(n * dt - horizon) <= dt / 2 + 4 * np.spacing(horizon)
 
 
 @pytest.mark.parametrize("field,value", [
